@@ -197,10 +197,11 @@ class RebuildManager : public BackgroundConsumer {
 
   DiskArray* disks_;
   RebuildConfig config_;
-  /// Serializes job mutation: PR-5's sharded deployment drives
-  /// StartRebuild/CancelRebuild from the coordinator thread while the
-  /// storage-node tick calls OnIdleInterval.  mutable so const readers
-  /// can lock.
+  /// Serializes job mutation.  Every caller runs on its simulation's
+  /// thread today (fault events call StartRebuild/CancelRebuild, the
+  /// interval tick calls OnIdleInterval), so the lock is uncontended;
+  /// it stays so clang's -Wthread-safety checks every access to jobs_.
+  /// mutable so const readers can lock.
   mutable Mutex mu_;
   /// Active jobs keyed by failed slot; std::map for deterministic
   /// per-interval iteration order.

@@ -7,11 +7,13 @@
 // Every knob of ExperimentConfig is exposed; defaults reproduce the
 // paper's Table 3 system.
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
+#include <system_error>
 
 #include "server/experiment.h"
 #include "util/rng.h"
@@ -42,15 +44,7 @@ Usage: stagger_sim [flags]
   --measure-hours=X   measurement window                [10]
   --seed=N            workload seed                     [20240101]
   --replications=N    independent runs, seeds seed..seed+N-1  [1]
-  --threads=N         concurrent replications; with --shards and a
-                      single run, parallel tick workers [1]
-  --shards=N          storage-node shards (parallel per-shard ticks;
-                      bit-identical to --shards=1)      [1]
-  --shard-min-active  streams below which ticks stay serial  [256]
-  --ring-placement    route placement through the coordinator ring
-  --ring-replicas=N   replica shards per object         [2]
-  --rpc-latency-ms=X  modeled coordinator hop latency (implies
-                      --ring-placement)                 [0]
+  --threads=N         concurrent replications           [1]
   --parity            store per-subobject parity fragments
   --spares=N          hot-spare drives (enables rebuild with --parity)
   --scrub             run the background latent-error scrubber
@@ -80,6 +74,30 @@ bool ParseFlag(const char* arg, const char* name, std::string* value) {
   return true;
 }
 
+// Parses the whole of `value` as a T in [lo, hi].  Empty values,
+// trailing characters, out-of-range values and (failing both bounds)
+// NaN are rejected with a message naming the flag `arg` (its text up
+// to '=').
+template <typename T>
+bool ParseNumber(const char* arg, const std::string& value, T* out,
+                 T lo = std::numeric_limits<T>::lowest(),
+                 T hi = std::numeric_limits<T>::max()) {
+  const char* end = value.data() + value.size();
+  T parsed{};
+  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+  if (ec != std::errc() || ptr != end || !(parsed >= lo && parsed <= hi)) {
+    std::fprintf(stderr, "invalid value '%s' for %.*s\n", value.c_str(),
+                 static_cast<int>(std::strcspn(arg, "=")), arg);
+    return false;
+  }
+  *out = parsed;
+  return true;
+}
+
+// Durations in hours become int64_t SimTime microseconds; this bound
+// keeps each one, and the sum of warm-up and measurement, in range.
+constexpr double kMaxHours = 1e9;
+
 int Run(int argc, char** argv) {
   ExperimentConfig cfg;
   bool csv = false;
@@ -92,6 +110,7 @@ int Run(int argc, char** argv) {
   int32_t chaos_domains = 0;
   for (int i = 1; i < argc; ++i) {
     std::string v;
+    double x = 0.0;  // scratch for flags converted to a unit type
     if (ParseFlag(argv[i], "--help", &v)) {
       PrintUsage();
       return 0;
@@ -107,21 +126,23 @@ int Run(int argc, char** argv) {
         return 2;
       }
     } else if (ParseFlag(argv[i], "--stations", &v)) {
-      cfg.stations = std::atoi(v.c_str());
+      if (!ParseNumber(argv[i], v, &cfg.stations)) return 2;
     } else if (ParseFlag(argv[i], "--mean", &v)) {
-      cfg.geometric_mean = std::atof(v.c_str());
+      if (!ParseNumber(argv[i], v, &cfg.geometric_mean)) return 2;
     } else if (ParseFlag(argv[i], "--disks", &v)) {
-      cfg.num_disks = std::atoi(v.c_str());
+      if (!ParseNumber(argv[i], v, &cfg.num_disks)) return 2;
     } else if (ParseFlag(argv[i], "--objects", &v)) {
-      cfg.num_objects = std::atoi(v.c_str());
+      if (!ParseNumber(argv[i], v, &cfg.num_objects)) return 2;
     } else if (ParseFlag(argv[i], "--subobjects", &v)) {
-      cfg.subobjects_per_object = std::atoll(v.c_str());
+      if (!ParseNumber(argv[i], v, &cfg.subobjects_per_object)) return 2;
     } else if (ParseFlag(argv[i], "--display-mbps", &v)) {
-      cfg.display_bandwidth = Bandwidth::Mbps(std::atof(v.c_str()));
+      if (!ParseNumber(argv[i], v, &x)) return 2;
+      cfg.display_bandwidth = Bandwidth::Mbps(x);
     } else if (ParseFlag(argv[i], "--tertiary-mbps", &v)) {
-      cfg.tertiary.bandwidth = Bandwidth::Mbps(std::atof(v.c_str()));
+      if (!ParseNumber(argv[i], v, &x)) return 2;
+      cfg.tertiary.bandwidth = Bandwidth::Mbps(x);
     } else if (ParseFlag(argv[i], "--stride", &v)) {
-      cfg.stride = std::atoi(v.c_str());
+      if (!ParseNumber(argv[i], v, &cfg.stride)) return 2;
     } else if (ParseFlag(argv[i], "--fragmented", &v)) {
       cfg.policy = AdmissionPolicy::kFragmented;
     } else if (ParseFlag(argv[i], "--coalesce", &v)) {
@@ -130,21 +151,23 @@ int Run(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "--no-replication", &v)) {
       cfg.enable_replication = false;
     } else if (ParseFlag(argv[i], "--preload", &v)) {
-      cfg.preload_objects = std::atoi(v.c_str());
+      if (!ParseNumber(argv[i], v, &cfg.preload_objects)) return 2;
     } else if (ParseFlag(argv[i], "--warmup-hours", &v)) {
-      cfg.warmup = SimTime::Hours(std::atof(v.c_str()));
+      if (!ParseNumber(argv[i], v, &x, -kMaxHours, kMaxHours)) return 2;
+      cfg.warmup = SimTime::Hours(x);
     } else if (ParseFlag(argv[i], "--measure-hours", &v)) {
-      cfg.measure = SimTime::Hours(std::atof(v.c_str()));
+      if (!ParseNumber(argv[i], v, &x, -kMaxHours, kMaxHours)) return 2;
+      cfg.measure = SimTime::Hours(x);
     } else if (ParseFlag(argv[i], "--seed", &v)) {
-      cfg.seed = static_cast<uint64_t>(std::atoll(v.c_str()));
+      if (!ParseNumber(argv[i], v, &cfg.seed)) return 2;
     } else if (ParseFlag(argv[i], "--replications", &v)) {
-      replications = std::atoi(v.c_str());
+      if (!ParseNumber(argv[i], v, &replications)) return 2;
     } else if (ParseFlag(argv[i], "--threads", &v)) {
-      threads = std::atoi(v.c_str());
+      if (!ParseNumber(argv[i], v, &threads)) return 2;
     } else if (ParseFlag(argv[i], "--parity", &v)) {
       cfg.parity = true;
     } else if (ParseFlag(argv[i], "--spares", &v)) {
-      cfg.num_spares = std::atoi(v.c_str());
+      if (!ParseNumber(argv[i], v, &cfg.num_spares)) return 2;
     } else if (ParseFlag(argv[i], "--scrub", &v)) {
       cfg.scrub = true;
     } else if (ParseFlag(argv[i], "--degraded", &v)) {
@@ -162,28 +185,22 @@ int Run(int argc, char** argv) {
       }
     } else if (ParseFlag(argv[i], "--chaos-seed", &v)) {
       chaos = true;
-      chaos_seed = static_cast<uint64_t>(std::atoll(v.c_str()));
+      if (!ParseNumber(argv[i], v, &chaos_seed)) return 2;
     } else if (ParseFlag(argv[i], "--chaos-mtbf-hours", &v)) {
       chaos = true;
-      chaos_mtbf_hours = std::atof(v.c_str());
+      if (!ParseNumber(argv[i], v, &chaos_mtbf_hours, -kMaxHours,
+                       kMaxHours)) {
+        return 2;
+      }
     } else if (ParseFlag(argv[i], "--chaos-mttr-hours", &v)) {
       chaos = true;
-      chaos_mttr_hours = std::atof(v.c_str());
+      if (!ParseNumber(argv[i], v, &chaos_mttr_hours, -kMaxHours,
+                       kMaxHours)) {
+        return 2;
+      }
     } else if (ParseFlag(argv[i], "--chaos-domains", &v)) {
       chaos = true;
-      chaos_domains = std::atoi(v.c_str());
-    } else if (ParseFlag(argv[i], "--shards", &v)) {
-      cfg.num_shards = std::atoi(v.c_str());
-    } else if (ParseFlag(argv[i], "--shard-min-active", &v)) {
-      cfg.shard_min_active_streams = std::atoll(v.c_str());
-    } else if (ParseFlag(argv[i], "--ring-placement", &v)) {
-      cfg.ring_placement = true;
-    } else if (ParseFlag(argv[i], "--ring-replicas", &v)) {
-      cfg.ring_replicas = std::atoi(v.c_str());
-    } else if (ParseFlag(argv[i], "--rpc-latency-ms", &v)) {
-      cfg.ring_placement = true;
-      cfg.rpc_latency = SimTime::Micros(
-          static_cast<int64_t>(std::atof(v.c_str()) * 1000.0));
+      if (!ParseNumber(argv[i], v, &chaos_domains)) return 2;
     } else if (ParseFlag(argv[i], "--csv", &v)) {
       csv = true;
     } else {
@@ -212,13 +229,6 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "# chaos plan (seed %llu) — replayable:\n%s",
                  static_cast<unsigned long long>(chaos_seed),
                  cfg.fault_plan.ToString().c_str());
-  }
-
-  if (replications <= 1 && cfg.num_shards > 1) {
-    // Single-run mode: --threads drives the sharded tick pool instead
-    // of the replication sweep.  Results stay bit-identical whatever
-    // the thread or shard count (see src/node/).
-    cfg.tick_threads = threads;
   }
 
   if (replications > 1) {
