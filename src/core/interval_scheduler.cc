@@ -398,6 +398,18 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
   // finish fix-ups below read the member.
   const bool observe = static_cast<bool>(config_.read_observer);
   int64_t buffered_delta = 0;
+#ifdef STAGGER_AUDIT
+  // Lane j reads subobject i off disk (start + i*k + j) mod D, whichever
+  // path issues the read.
+  const auto audit_alignment = [&](const Stream& s, int32_t j,
+                                   int64_t subobject, int32_t physical) {
+    const int32_t expected = static_cast<int32_t>(PositiveMod(
+        static_cast<int64_t>(s.start_disk) + subobject * config_.stride + j,
+        d));
+    STAGGER_CHECK(physical == expected)
+        << "lane misalignment: stream " << s.id << " fragment " << j;
+  };
+#endif
   // active_ is sorted by id, giving the deterministic ascending-id
   // processing order directly.  No admissions run inside this loop, so
   // slots_ is stable and index-based iteration is safe.
@@ -427,17 +439,15 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
     bool pausing = false;
     int64_t min_reads = std::numeric_limits<int64_t>::max();
     bool advanced = false;
-#ifndef STAGGER_AUDIT
     // Lockstep fast path.  A contiguous stream's lanes are admitted
     // together and then read every interval, so they stay identical in
     // reads_done / next_read_tau and occupy M adjacent virtual disks
     // (a pause mid-stripe retires the stream before divergence can
     // reach this loop).  One masked range-reserve plus a branchless
-    // lane update replaces the per-lane scatter.  Audit builds keep
-    // the per-lane path so the alignment audit covers every read; the
-    // release-preset golden traces pin both paths to the same history.
-    if (s.lockstep && !any_down && !latent_active && !observe &&
-        s.degree > 0) {
+    // lane update replaces the per-lane scatter.  The observer sees the
+    // same reads, in the same lane order, as the per-lane path reports,
+    // and audit builds check every lane's alignment here too.
+    if (s.lockstep && !any_down && !latent_active && s.degree > 0) {
       FragmentLane* lanes = s.lanes.data();
       if (!lanes[0].released() && lanes[0].reads_done < s.num_subobjects &&
           tau >= lanes[0].next_read_tau) {
@@ -445,6 +455,22 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
         if (first >= d) first -= d;
         disks_->ReserveRun(first, s.degree);
         const int64_t done = lanes[0].reads_done + 1;
+        // Lane j reads disk first + j (mod D).  Reporting and auditing
+        // get their own loops so the update loop below stays plain
+        // stores; observers are a tracing aid, so their call is laid out
+        // off the hot path.
+        if (observe) [[unlikely]] {
+          for (int32_t j = 0; j < s.degree; ++j) {
+            config_.read_observer(interval_index_, s.object, done - 1, j,
+                                  first + j < d ? first + j : first + j - d);
+          }
+        }
+#ifdef STAGGER_AUDIT
+        for (int32_t j = 0; j < s.degree; ++j) {
+          audit_alignment(s, j, lanes[j].reads_done,
+                          first + j < d ? first + j : first + j - d);
+        }
+#endif
         for (int32_t j = 0; j < s.degree; ++j) {
           STAGGER_DCHECK(!lanes[j].released() &&
                          lanes[j].reads_done + 1 == done &&
@@ -463,7 +489,6 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
         advanced = true;
       }
     }
-#endif
     if (!advanced) for (int32_t j = 0; j < s.degree; ++j) {
       FragmentLane& lane = s.lanes[static_cast<size_t>(j)];
       if (lane.released()) continue;
@@ -474,12 +499,7 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
       int32_t physical = lane.vdisk + rot;
       if (physical >= d) physical -= d;
 #ifdef STAGGER_AUDIT
-      const int32_t expected = static_cast<int32_t>(PositiveMod(
-          static_cast<int64_t>(s.start_disk) +
-              lane.reads_done * config_.stride + j,
-          d));
-      STAGGER_CHECK(physical == expected)
-          << "lane misalignment: stream " << s.id << " fragment " << j;
+      audit_alignment(s, j, lane.reads_done, physical);
 #endif
       int32_t read_disk = physical;
       const bool down = any_down && !disks_->IsAvailable(physical);

@@ -73,26 +73,4 @@ void Disk::Recover() {
   degraded_serving_ = false;
 }
 
-void Disk::Reserve() {
-  STAGGER_DCHECK(clock_ == nullptr)
-      << "disk " << id_
-      << ": array-attached drives are reserved through DiskArray";
-  STAGGER_CHECK(!busy_) << "disk " << id_ << " reserved twice in one interval";
-  STAGGER_CHECK(available())
-      << "disk " << id_ << " reserved while failed or stalled";
-  busy_ = true;
-  // Reserve() and interval close are balanced within every interval, so
-  // counting busy intervals here (instead of at close) is equivalent and
-  // keeps the close itself allocation- and walk-free.
-  ++busy_intervals_;
-}
-
-void Disk::EndInterval() {
-  STAGGER_DCHECK(clock_ == nullptr)
-      << "disk " << id_
-      << ": array-attached drives are closed by DiskArray::EndInterval";
-  ++own_intervals_;
-  busy_ = false;
-}
-
 }  // namespace stagger

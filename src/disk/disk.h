@@ -1,5 +1,5 @@
 // A single simulated disk drive: storage accounting in cylinders plus
-// per-interval busy/idle bookkeeping used by the interval scheduler.
+// health state for fault injection.
 
 #ifndef STAGGER_DISK_DISK_H_
 #define STAGGER_DISK_DISK_H_
@@ -48,12 +48,11 @@ struct IntervalClock {
 /// \brief One simulated drive.
 ///
 /// Storage is allocated in whole cylinders (the fragment granularity of
-/// the paper).  A *standalone* drive additionally tracks per-interval
-/// busy/idle bookkeeping through Reserve()/EndInterval().  Drives
-/// attached to a DiskArray do not: their busy state lives in the
-/// array's dense bitmap and counters (DiskArray::ReserveSlot et al.) so
-/// the scheduler's reservation hot path touches two cache-resident
-/// arrays instead of D scattered objects.
+/// the paper).  Per-interval busy state is not kept here: it lives in
+/// the owning DiskArray's dense bitmap and counters
+/// (DiskArray::ReserveSlot et al.), so the scheduler's reservation hot
+/// path touches two cache-resident arrays instead of D scattered
+/// objects.
 class Disk {
  public:
   Disk(DiskId id, const DiskParameters& params)
@@ -63,8 +62,8 @@ class Disk {
   DiskId id() const { return id_; }
 
   /// Binds the drive to its array's shared interval clock, which then
-  /// supplies the interval count for down-time accounting.  Unattached
-  /// drives keep a private interval counter advanced by EndInterval().
+  /// supplies the interval count for down-time accounting.  An
+  /// unattached drive's clock stays at interval 0.
   void AttachClock(IntervalClock* clock) { clock_ = clock; }
 
   // --- storage ---------------------------------------------------------
@@ -121,46 +120,16 @@ class Disk {
            (available() ? 0 : now_intervals() - down_since_);
   }
 
-  // --- per-interval bandwidth (standalone drives only) -----------------
-  //
-  // Array-attached drives keep their busy state in the array's dense
-  // structures; use DiskArray::ReserveSlot / SlotBusy / ReserveDrive
-  // there.  The methods below serve drives that are not attached to an
-  // array (unit tests, single-disk simulations).
-  bool busy() const { return busy_; }
-  /// Marks the disk busy for the current interval.
-  /// Preconditions: currently idle, available() — the scheduler must
-  /// never place load on a failed or stalled disk — and unattached.
-  void Reserve();
-  /// Closes an interval on an UNATTACHED drive: clears the busy flag and
-  /// advances the private interval counter.  Array-attached drives are
-  /// closed by DiskArray::EndInterval instead.
-  void EndInterval();
-
-  int64_t busy_intervals() const { return busy_intervals_; }
-  int64_t total_intervals() const { return now_intervals(); }
-  /// Fraction of elapsed intervals this disk spent transferring.
-  double Utilization() const {
-    const int64_t total = now_intervals();
-    return total == 0 ? 0.0
-                      : static_cast<double>(busy_intervals_) /
-                            static_cast<double>(total);
-  }
-
  private:
   int64_t now_intervals() const {
-    return clock_ ? clock_->intervals : own_intervals_;
+    return clock_ ? clock_->intervals : 0;
   }
 
   DiskId id_;
   int64_t free_cylinders_;
   int64_t total_cylinders_;
   DiskHealth health_ = DiskHealth::kHealthy;
-  bool busy_ = false;
-  int64_t busy_intervals_ = 0;
   IntervalClock* clock_ = nullptr;
-  /// Interval counter for drives not attached to an array clock.
-  int64_t own_intervals_ = 0;
   /// Down-time bookkeeping is lazy: transitions record the clock, the
   /// getter adds the open span — interval close stays O(reserved).
   int64_t down_accumulated_ = 0;

@@ -136,13 +136,6 @@ void DiskArray::ReturnSpare(int32_t drive) {
   free_spares_.push_back(drive);
 }
 
-Disk& DiskArray::spare_drive(int32_t drive) {
-  STAGGER_CHECK(std::find(claimed_spares_.begin(), claimed_spares_.end(),
-                          drive) != claimed_spares_.end())
-      << "drive " << drive << " is not a claimed spare";
-  return drives_[static_cast<size_t>(drive)];
-}
-
 void DiskArray::PromoteSpare(DiskId slot, int32_t drive) {
   STAGGER_CHECK(slot >= 0 && slot < num_slots_) << "bad slot " << slot;
   auto it = std::find(claimed_spares_.begin(), claimed_spares_.end(), drive);

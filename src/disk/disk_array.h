@@ -175,14 +175,12 @@ class DiskArray {
     return static_cast<int32_t>(free_spares_.size());
   }
   /// Claims a spare drive for a rebuild; returns its drive index (only
-  /// meaningful to spare_drive / ReturnSpare / PromoteSpare).  Fails
-  /// with ResourceExhausted when the pool is empty.
+  /// meaningful to ReturnSpare / PromoteSpare).  Fails with
+  /// ResourceExhausted when the pool is empty.
   Result<int32_t> AcquireSpare();
   /// Returns an unused spare to the pool (rebuild cancelled because the
   /// original drive recovered naturally).
   void ReturnSpare(int32_t drive);
-  /// Direct access to a claimed spare drive, for rebuild writes.
-  Disk& spare_drive(int32_t drive);
   /// Rewires `slot` onto the claimed spare `drive` and marks the slot
   /// healthy.  The failed drive's storage accounting transfers to the
   /// spare so later frees balance; the dead drive is retired.

@@ -72,8 +72,8 @@ void EventQueue::InsertEntry(const Entry& e) {
     d = ResolveDay(day, /*create=*/true);
   }
   if (d->consumed == d->entries.size() && d->consumed != 0) {
-    // Every buffered entry was already popped or staged; restart the
-    // bucket instead of growing behind a fully-consumed prefix.
+    // Every buffered entry was already popped; restart the bucket
+    // instead of growing behind a fully-consumed prefix.
     d->entries.clear();
     d->consumed = 0;
     d->dead = 0;
@@ -154,7 +154,7 @@ STAGGER_HOT_PATH EventQueue::Day* EventQueue::EnsureFront(int64_t* day_index) {
         RebaseRing(overflow_.begin()->first);
         continue;
       } else {
-        return nullptr;  // every live event is staged, or none exist
+        return nullptr;  // no live event
       }
     }
     cursor_ = day;
@@ -192,21 +192,12 @@ void EventQueue::SortBucket(Day* d) {
   //   offset : 13  time within the day (time_us & (kDayMicros-1))
   //   pri    : 32  priority, biased to preserve order unsigned
   //   index  : 19  position in the unsorted suffix
-  // The suffix is normally appended in schedule order, so index order
-  // IS seq order and the key sort reproduces (time, priority, seq)
-  // exactly (ties are impossible: index is unique).  UnstageRemainder
-  // can violate that by appending an *older* entry behind newer ones;
-  // the packing pass watches for a seq inversion and falls back to the
-  // direct comparison sort.
+  // The suffix is appended in schedule order, so index order IS seq
+  // order and the key sort reproduces (time, priority, seq) exactly
+  // (ties are impossible: index is unique).
   sort_keys_.clear();
-  uint64_t prev_seq = 0;
   for (size_t i = 0; i < n; ++i) {
     const Entry& e = begin[i];
-    if (e.seq < prev_seq) {
-      std::sort(begin, d->entries.end(), KeyLess);
-      return;
-    }
-    prev_seq = e.seq;
     const uint64_t offset =
         static_cast<uint64_t>(e.time_us) & (kDayMicros - 1);
     const uint64_t pri =
@@ -226,20 +217,8 @@ EventHandle EventQueue::Schedule(SimTime when, EventFn fn, int priority) {
   Slot& s = SlotAt(slot);
   s.fn = std::move(fn);
   s.time_us = when.micros();
-  s.priority = priority;
   s.live = true;
-  const Entry e{s.time_us, next_seq_++, priority, slot, s.gen};
-  if (stage_open_ &&
-      (e.time_us < stage_time_us_ ||
-       (e.time_us == stage_time_us_ && e.priority < stage_priority_))) {
-    // The new event outranks the open batch, so the batch's remaining
-    // events no longer form the queue's minimum; put them back in their
-    // bucket and let the next PopInterval() re-derive the front.  (An
-    // equal-key schedule needs nothing: its seq is larger than every
-    // staged entry's, so bucket insertion already orders it after them.)
-    UnstageRemainder();
-  }
-  InsertEntry(e);
+  InsertEntry(Entry{s.time_us, next_seq_++, priority, slot, s.gen});
   ++size_;
   return EventHandle((uint64_t{slot} << 32) | s.gen);
 }
@@ -261,14 +240,6 @@ bool EventQueue::Cancel(EventHandle handle) {
 }
 
 void EventQueue::NoteDead(const Slot& s) {
-  if (stage_open_ && s.time_us == stage_time_us_ &&
-      s.priority == stage_priority_) {
-    // The entry is (most likely) staged: the stage gen-checks at fire
-    // time and its buffer dies with the batch, so no bucket accounting.
-    // (A same-key entry still in the bucket merely goes uncounted —
-    // `dead` is a compaction heuristic, not an invariant.)
-    return;
-  }
   const int64_t day = DayOf(s.time_us);
   Day* d = ResolveDay(day, /*create=*/false);
   if (d == nullptr) return;
@@ -291,21 +262,13 @@ STAGGER_HOT_PATH SimTime EventQueue::NextTime() const {
   if (size_ == 0) return SimTime::Max();
   // Advancing past dead (cancelled) entries does not change observable
   // state, so it is safe behind const.
-  auto* self = const_cast<EventQueue*>(this);
-  if (self->stage_open_) {
-    self->SkipDeadStaged();
-    if (self->stage_pos_ < self->stage_.size()) return SimTime(stage_time_us_);
-    self->CloseStage();
-  }
-  Day* d = self->EnsureFront(nullptr);
+  Day* d = const_cast<EventQueue*>(this)->EnsureFront(nullptr);
   STAGGER_CHECK(d != nullptr);
   return SimTime(d->entries[d->consumed].time_us);
 }
 
 STAGGER_HOT_PATH EventQueue::Fired EventQueue::PopNext() {
   STAGGER_CHECK(size_ != 0) << "PopNext on empty event queue";
-  Fired fired;
-  if (PopStaged(&fired)) return fired;
   int64_t day;
   Day* d = EnsureFront(&day);
   STAGGER_CHECK(d != nullptr);
@@ -318,100 +281,14 @@ STAGGER_HOT_PATH EventQueue::Fired EventQueue::PopNext() {
   }
   ++d->consumed;
   if (d->consumed == d->entries.size()) ReleaseDay(day, d);
-  Slot& s = SlotAt(e.slot);
-  fired.time = SimTime(e.time_us);
-  fired.fn = std::move(s.fn);
+  Fired fired{SimTime(e.time_us), e.priority, std::move(SlotAt(e.slot).fn)};
   FreeSlot(e.slot);
   --size_;
   return fired;
 }
 
-STAGGER_HOT_PATH EventQueue::Batch EventQueue::PopInterval() {
-  STAGGER_CHECK(size_ != 0) << "PopInterval on empty event queue";
-  if (stage_open_) {
-    SkipDeadStaged();
-    if (stage_pos_ < stage_.size()) {
-      size_t live = 0;
-      for (size_t i = stage_pos_; i < stage_.size(); ++i) {
-        if (EntryLive(stage_[i])) ++live;
-      }
-      return Batch{SimTime(stage_time_us_), stage_priority_, live};
-    }
-    CloseStage();
-  }
-  int64_t day;
-  Day* d = EnsureFront(&day);
-  STAGGER_CHECK(d != nullptr);
-  const Entry& front = d->entries[d->consumed];
-  stage_time_us_ = front.time_us;
-  stage_priority_ = front.priority;
-  // Move the whole same-(time, priority) run — one scheduler interval's
-  // cohort — into the stage in one pass.
-  size_t live = 0;
-  uint32_t i = d->consumed;
-  stage_.clear();
-  for (; i < d->entries.size(); ++i) {
-    const Entry& e = d->entries[i];
-    if (e.time_us != stage_time_us_ || e.priority != stage_priority_) break;
-    // stagger-lint: allow(hot-path-alloc) -- stage buffer reuses retained capacity across batches
-    stage_.push_back(e);
-    if (EntryLive(e)) {
-      ++live;
-    } else if (d->dead > 0) {
-      --d->dead;  // the dead entry leaves the bucket with the stage
-    }
-  }
-  d->consumed = i;
-  if (d->consumed == d->entries.size()) ReleaseDay(day, d);
-  stage_pos_ = 0;
-  stage_open_ = true;
-  return Batch{SimTime(stage_time_us_), stage_priority_, live};
-}
-
-STAGGER_HOT_PATH bool EventQueue::PopStaged(Fired* out) {
-  if (!stage_open_) return false;
-  while (stage_pos_ < stage_.size()) {
-    const Entry e = stage_[stage_pos_];
-    ++stage_pos_;
-    if (stage_pos_ < stage_.size()) {
-      __builtin_prefetch(&SlotAt(stage_[stage_pos_].slot));
-    }
-    Slot& s = SlotAt(e.slot);
-    if (!s.live || s.gen != e.gen) continue;  // cancelled while staged
-    out->time = SimTime(e.time_us);
-    out->fn = std::move(s.fn);
-    FreeSlot(e.slot);
-    --size_;
-    return true;
-  }
-  CloseStage();
-  return false;
-}
-
-void EventQueue::CloseStage() {
-  stage_.clear();
-  stage_pos_ = 0;
-  stage_open_ = false;
-}
-
-void EventQueue::SkipDeadStaged() {
-  while (stage_pos_ < stage_.size() && !EntryLive(stage_[stage_pos_])) {
-    ++stage_pos_;
-  }
-}
-
-void EventQueue::UnstageRemainder() {
-  // The staged remainder holds the smallest keys in the queue, so each
-  // live entry lands at its bucket's consumption point (sorted insert);
-  // dead ones are dropped here instead of being skipped later.
-  for (size_t i = stage_pos_; i < stage_.size(); ++i) {
-    if (EntryLive(stage_[i])) InsertEntry(stage_[i]);
-  }
-  CloseStage();
-}
-
 size_t EventQueue::buffered_entries() const {
-  size_t n = stage_.size() - stage_pos_;
+  size_t n = 0;
   for (const Day& d : ring_) n += d.entries.size() - d.consumed;
   for (const auto& [day, d] : overflow_) {
     (void)day;

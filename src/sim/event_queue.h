@@ -2,8 +2,10 @@
 // queue keyed by time, ordered by (time, priority, sequence number) so
 // simultaneous events fire in a deterministic, FIFO order.
 //
-// The model is interval-synchronous, so events cluster heavily on a
-// small number of distinct instants.  The calendar exploits that:
+// The model is interval-synchronous: events land on instants spaced one
+// scheduler interval apart, and each instant is mostly that one tick
+// (the simulator benchmark measures 1.00-1.01 events per distinct
+// (time, priority) key).  The calendar exploits the regular spacing:
 //
 //   * Time is divided into fixed-width "days" of 2^13 us (~8.2 ms); a
 //     ring of 256 days (one "year", ~2.1 s) holds the near future, with
@@ -13,11 +15,6 @@
 //   * A day is sorted lazily, only when it becomes the earliest
 //     non-empty bucket; a bitmap over the ring finds that bucket with a
 //     handful of word scans instead of a heap sift.
-//   * All events sharing the earliest (time, priority) — one scheduler
-//     interval's worth of work — can be drained as a single batch
-//     (PopInterval / PopStaged) instead of one ordered pop per event.
-//     Staged events remain cancellable until the instant they fire, so
-//     batching is invisible to the model.
 //   * Cancellation is O(1) through generation-checked slots and frees
 //     the callback eagerly; only a 32-byte trivially-copyable entry
 //     stays behind (reclaimed by compaction before it can accumulate).
@@ -93,39 +90,17 @@ class EventQueue {
   /// Precondition: !empty().
   struct Fired {
     SimTime time;
+    int priority = 0;
     EventFn fn;
   };
   Fired PopNext();
 
-  /// \brief One batch of same-(time, priority) events.
-  struct Batch {
-    SimTime time;
-    int priority = 0;
-    /// Live events in the batch when it was opened (events cancelled
-    /// after PopInterval() returns still will not fire).
-    size_t count = 0;
-  };
-
-  /// Opens a batch over every live event sharing the earliest
-  /// (time, priority) — typically one scheduler interval's worth — and
-  /// returns its key.  Drain it with PopStaged(); events in the batch
-  /// stay cancellable until the call that actually pops them, so a
-  /// PopInterval/PopStaged loop is observably identical to a PopNext
-  /// loop.  Calling PopInterval() with a batch already open returns the
-  /// open batch.  Precondition: !empty().
-  Batch PopInterval();
-
-  /// Pops the next live event of the open batch into *out; returns
-  /// false (closing the batch) when it is exhausted.  With no open
-  /// batch, returns false.
-  bool PopStaged(Fired* out);
-
   // --- introspection (tests) --------------------------------------------
 
-  /// Entries buffered across all days, the overflow map, and the open
-  /// batch, live or cancelled.  Bounds the lazy-deletion debt: a
-  /// cancelled event's callback is freed eagerly, and the 32-byte entry
-  /// left behind is compacted away before it can accumulate.
+  /// Entries buffered across all days and the overflow map, live or
+  /// cancelled.  Bounds the lazy-deletion debt: a cancelled event's
+  /// callback is freed eagerly, and the 32-byte entry left behind is
+  /// compacted away before it can accumulate.
   size_t buffered_entries() const;
 
   /// Callback slots currently allocated (live events + free-list).
@@ -149,7 +124,6 @@ class EventQueue {
   struct alignas(64) Slot {
     EventFn fn;
     int64_t time_us = 0;
-    int32_t priority = 0;
     uint32_t gen = 1;        ///< bumped on free; stale handles/entries mismatch
     uint32_t next_free = kNoSlot;
     bool live = false;
@@ -159,7 +133,7 @@ class EventQueue {
   /// lazily, when the day becomes the earliest non-empty bucket.
   struct Day {
     std::vector<Entry> entries;
-    uint32_t consumed = 0;  ///< sorted prefix already popped/staged
+    uint32_t consumed = 0;  ///< sorted prefix already popped
     uint32_t dead = 0;      ///< cancelled entries still buffered (approximate)
     bool sorted = false;
   };
@@ -210,16 +184,9 @@ class EventQueue {
   /// is empty and `day` >= ring_base_ + kNumDays.
   void RebaseRing(int64_t day);
   /// The earliest bucket holding a live event, sorted with its dead
-  /// prefix skipped; nullptr when every live event is staged (or none).
+  /// prefix skipped; nullptr when the queue holds no live event.
   Day* EnsureFront(int64_t* day_index);
 
-  void CloseStage();
-  /// Puts the open batch's remaining live entries back into their
-  /// bucket (used when a schedule preempts the batch with a smaller
-  /// (time, priority) key).
-  void UnstageRemainder();
-  /// Advances stage_pos_ past cancelled entries.
-  void SkipDeadStaged();
   /// Cancellation bookkeeping: count the dead entry against its bucket
   /// and compact when cancelled debt dominates the bucket.
   void NoteDead(const Slot& s);
@@ -245,13 +212,7 @@ class EventQueue {
   std::vector<uint64_t> sort_keys_;  ///< SortBucket scratch (packed keys)
   std::vector<Entry> sort_scratch_;  ///< SortBucket scratch (permutation)
 
-  std::vector<Entry> stage_;    ///< the open batch (PopInterval)
-  size_t stage_pos_ = 0;
-  bool stage_open_ = false;
-  int64_t stage_time_us_ = 0;
-  int stage_priority_ = 0;
-
-  size_t size_ = 0;             ///< live events (scheduled or staged, unfired)
+  size_t size_ = 0;             ///< live events (scheduled, unfired)
   uint64_t next_seq_ = 1;
 };
 

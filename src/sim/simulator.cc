@@ -17,43 +17,35 @@ EventHandle Simulator::ScheduleAfter(SimTime delay, EventFn fn, int priority) {
   return ScheduleAt(now_ + delay, std::move(fn), priority);
 }
 
-bool Simulator::Step() {
-  if (events_.empty()) return false;
+void Simulator::FireNext() {
   EventQueue::Fired fired = events_.PopNext();
   STAGGER_DCHECK(fired.time >= now_);
+  if (fired.time != batch_time_ || fired.priority != batch_priority_) {
+    ++batches_dispatched_;
+    batch_time_ = fired.time;
+    batch_priority_ = fired.priority;
+  }
   now_ = fired.time;
   ++events_executed_;
   fired.fn();
-  return true;
 }
 
-void Simulator::DispatchBatch() {
-  const EventQueue::Batch batch = events_.PopInterval();
-  STAGGER_DCHECK(batch.time >= now_);
-  now_ = batch.time;
-  ++batches_dispatched_;
-  // Staged events stay cancellable until popped, and a schedule that
-  // outranks the batch closes it early, so this loop fires exactly the
-  // events (in exactly the order) a Step() loop would.
-  EventQueue::Fired fired;
-  while (!stop_requested_ && events_.PopStaged(&fired)) {
-    ++events_executed_;
-    fired.fn();
-  }
+bool Simulator::Step() {
+  if (events_.empty()) return false;
+  FireNext();
+  return true;
 }
 
 SimTime Simulator::Run() {
   stop_requested_ = false;
-  while (!stop_requested_ && !events_.empty()) {
-    DispatchBatch();
-  }
+  while (!stop_requested_ && !events_.empty()) FireNext();
   return now_;
 }
 
 SimTime Simulator::RunUntil(SimTime deadline) {
   stop_requested_ = false;
   while (!stop_requested_ && !events_.empty() && events_.NextTime() <= deadline) {
-    DispatchBatch();
+    FireNext();
   }
   // Clock semantics: RunUntil advances to the deadline even if the model
   // went quiet earlier, so utilization denominators are exact.  A

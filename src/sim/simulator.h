@@ -58,25 +58,28 @@ class Simulator {
   /// Number of events executed so far (for tests and microbenchmarks).
   uint64_t events_executed() const { return events_executed_; }
 
-  /// Number of same-(time, priority) batches dispatched by Run/RunUntil.
-  /// The interval-synchronous model fires many events per instant, so
-  /// this is typically far below events_executed().
+  /// Number of maximal runs of consecutively fired events sharing one
+  /// (time, priority), over the simulator's whole life (Step, Run and
+  /// RunUntil alike, so a run split across calls counts as one).  The
+  /// simulator benchmark measures 1.00-1.01 events per batch: each
+  /// instant is mostly a single scheduler tick.
   uint64_t batches_dispatched() const { return batches_dispatched_; }
 
   size_t pending_events() const { return events_.size(); }
 
  private:
-  /// Executes one batch of same-(time, priority) events: a single
-  /// ordered front lookup (EventQueue::PopInterval) followed by O(1)
-  /// staged pops, instead of one ordered pop per event.  Firing order
-  /// is identical to a Step() loop; see EventQueue::PopInterval.
-  void DispatchBatch();
+  /// Pops and executes the earliest event.  Precondition: !events_.empty().
+  void FireNext();
 
   EventQueue events_;
   SimTime now_ = SimTime::Zero();
   bool stop_requested_ = false;
   uint64_t events_executed_ = 0;
   uint64_t batches_dispatched_ = 0;
+  /// (time, priority) of the last fired event.  No event fires before
+  /// time zero, so the first one always opens a batch.
+  SimTime batch_time_ = SimTime::Micros(-1);
+  int batch_priority_ = 0;
 };
 
 /// \brief Repeats a callback every `period`, starting at `start`.

@@ -155,10 +155,11 @@ TEST(SchedulerDeterminismTest, SameSeedSameOutcome) {
 }
 
 // The lockstep fast path (contiguous streams advanced with one
-// range-reserve) is disabled whenever a read observer is installed, so
-// running the same load with and without a no-op observer pits the fast
-// path against the per-lane reference path.  Every externally visible
-// outcome must match exactly.
+// range-reserve) is skipped whenever a latent error is active, so
+// running the same load with and without one corrupt cell on a row no
+// stream reads pits the fast path against the per-lane reference path.
+// Every externally visible outcome, including every observed read,
+// must match exactly.
 TEST(SchedulerFastPathTest, MatchesPerLanePathExactly) {
   auto run = [](bool force_per_lane_path, uint64_t seed) {
     Simulator sim;
@@ -168,12 +169,20 @@ TEST(SchedulerFastPathTest, MatchesPerLanePathExactly) {
     config.interval = SimTime::Millis(605);
     config.policy = AdmissionPolicy::kFragmented;
     config.coalesce = true;
-    int64_t observed_reads = 0;
+    // (interval, object, subobject, fragment, disk) of every read.
+    std::vector<double> fingerprint;
+    config.read_observer = [&fingerprint](int64_t interval, ObjectId object,
+                                          int64_t subobject, int32_t fragment,
+                                          int32_t disk) {
+      fingerprint.insert(fingerprint.end(),
+                         {static_cast<double>(interval),
+                          static_cast<double>(object),
+                          static_cast<double>(subobject),
+                          static_cast<double>(fragment),
+                          static_cast<double>(disk)});
+    };
     if (force_per_lane_path) {
-      config.read_observer = [&observed_reads](int64_t, ObjectId, int64_t,
-                                               int32_t, int32_t) {
-        ++observed_reads;
-      };
+      disks->latent_errors().Inject(0, int64_t{1} << 40, int64_t{1} << 40);
     }
     auto sched = IntervalScheduler::Create(&sim, &*disks, config);
     Rng rng(seed);
@@ -191,7 +200,7 @@ TEST(SchedulerFastPathTest, MatchesPerLanePathExactly) {
     }
     sim.RunUntil(SimTime::Hours(1));
     const SchedulerMetrics& m = (*sched)->metrics();
-    std::vector<double> fingerprint = {
+    fingerprint.insert(fingerprint.end(), {
         static_cast<double>(m.displays_completed),
         static_cast<double>(m.fragmented_admissions),
         static_cast<double>(m.coalesce_migrations),
@@ -201,7 +210,7 @@ TEST(SchedulerFastPathTest, MatchesPerLanePathExactly) {
         disks->MeanUtilization(),
         disks->MaxUtilization(),
         disks->MinUtilization(),
-    };
+    });
     return fingerprint;
   };
   for (uint64_t seed : {1ull, 7ull, 99ull, 31415ull}) {

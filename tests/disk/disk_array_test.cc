@@ -38,25 +38,6 @@ TEST(DiskDeathTest, OverFreeingAborts) {
   EXPECT_DEATH(d.FreeStorage(1), "freed more storage");
 }
 
-TEST(DiskTest, UtilizationCountsBusyIntervals) {
-  Disk d(0, DiskParameters::Evaluation());
-  d.Reserve();
-  d.EndInterval();  // busy
-  d.EndInterval();  // idle
-  d.Reserve();
-  d.EndInterval();  // busy
-  d.EndInterval();  // idle
-  EXPECT_EQ(d.busy_intervals(), 2);
-  EXPECT_EQ(d.total_intervals(), 4);
-  EXPECT_DOUBLE_EQ(d.Utilization(), 0.5);
-}
-
-TEST(DiskDeathTest, DoubleReserveAborts) {
-  Disk d(0, DiskParameters::Evaluation());
-  d.Reserve();
-  EXPECT_DEATH(d.Reserve(), "reserved twice");
-}
-
 TEST(DiskArrayTest, CreateValidates) {
   EXPECT_FALSE(DiskArray::Create(0, DiskParameters::Evaluation()).ok());
   DiskParameters bad = DiskParameters::Evaluation();

@@ -5,8 +5,8 @@
 // NextTime(), size(), Cancel() return values — must match the calendar
 // queue at every step of a randomized op sequence, across seeds that
 // exercise clustered instants, far-future overflow (multiple ring
-// years), priority ties, cancels of staged events, and schedules that
-// preempt an open batch.
+// years), priority ties, and cancels and schedules at the key being
+// drained.
 
 #include <gtest/gtest.h>
 
@@ -183,11 +183,11 @@ void RunLockstep(uint64_t seed, int rounds) {
   EXPECT_EQ(cal_log, ref_log);
 }
 
-// Drains the calendar queue in batched mode (PopInterval/PopStaged)
-// against the reference popping one event at a time, with adversarial
-// interference while a batch is open: cancels of staged events and
-// schedules that tie with or preempt the open batch key.
-void RunBatchedLockstep(uint64_t seed, int rounds) {
+// Schedules a batch of `rounds` events, then drains both queues one pop
+// at a time with adversarial interference after each pop: cancels
+// (often of events at the instant being drained) and schedules that
+// precede, tie with or follow the (time, priority) just fired.
+void RunInterferingDrain(uint64_t seed, int rounds) {
   SCOPED_TRACE(testing::Message() << "seed " << seed);
   Rng rng(seed);
   EventQueue cal;
@@ -215,50 +215,39 @@ void RunBatchedLockstep(uint64_t seed, int rounds) {
 
   while (!ref.empty()) {
     ASSERT_FALSE(cal.empty());
-    const EventQueue::Batch batch = cal.PopInterval();
-    ASSERT_EQ(batch.time, ref.NextTime());
-    // Re-requesting the open batch is idempotent.
-    const EventQueue::Batch again = cal.PopInterval();
-    ASSERT_EQ(again.time, batch.time);
-    ASSERT_EQ(again.priority, batch.priority);
+    ReferenceEventQueue::Fired rf = ref.PopNext();
+    EventQueue::Fired cf = cal.PopNext();
+    ASSERT_EQ(cf.time, rf.time);
+    rf.fn();
+    cf.fn();
+    ASSERT_EQ(cal_log, ref_log);
+    ASSERT_EQ(cal.size(), ref.size());
 
-    EventQueue::Fired cf;
-    while (cal.PopStaged(&cf)) {
-      ReferenceEventQueue::Fired rf = ref.PopNext();
-      ASSERT_EQ(cf.time, rf.time);
-      ASSERT_EQ(cf.time, batch.time);
-      rf.fn();
-      cf.fn();
-      ASSERT_EQ(cal_log, ref_log);
-      ASSERT_EQ(cal.size(), ref.size());
-
-      const double interfere = rng.NextDouble();
-      if (interfere < 0.15 && !events.empty()) {
-        // Cancel a random event — possibly one staged in the open
-        // batch; it must not fire from either queue.
-        Mirrored& m = events[rng.NextBounded(events.size())];
-        ASSERT_EQ(cal.Cancel(m.cal_handle), ref.Cancel(m.ref_handle));
-      } else if (interfere < 0.3) {
-        // Schedule relative to the open batch: before it (forces the
-        // calendar to put the staged remainder back), tying with it
-        // (fires within the batch, after already-staged events), or
-        // after it.
-        const int64_t base = batch.time.micros();
-        const uint64_t mode = rng.NextBounded(3);
-        int64_t when = base;
-        int priority = batch.priority;
-        if (mode == 0) {
-          when = base - static_cast<int64_t>(rng.NextBounded(
-                            static_cast<uint64_t>(base) + 1));
-          priority = static_cast<int>(rng.NextBounded(5)) - 2;
-        } else if (mode == 2) {
-          when = base + 1 + static_cast<int64_t>(rng.NextBounded(1 << 16));
-          priority = static_cast<int>(rng.NextBounded(5)) - 2;
-        }
-        schedule(SimTime::Micros(when), priority);
+    const double interfere = rng.NextDouble();
+    if (interfere < 0.15 && !events.empty()) {
+      // Cancel a random event — possibly the next one at this key; it
+      // must not fire from either queue.
+      Mirrored& m = events[rng.NextBounded(events.size())];
+      ASSERT_EQ(cal.Cancel(m.cal_handle), ref.Cancel(m.ref_handle));
+    } else if (interfere < 0.3) {
+      // Schedule relative to the key just fired: before it (the new
+      // event becomes the front), tying with it (fires at this key,
+      // after the events already waiting there), or after it.
+      const int64_t base = cf.time.micros();
+      const uint64_t mode = rng.NextBounded(3);
+      int64_t when = base;
+      int priority = cf.priority;
+      if (mode == 0) {
+        when = base - static_cast<int64_t>(rng.NextBounded(
+                          static_cast<uint64_t>(base) + 1));
+        priority = static_cast<int>(rng.NextBounded(5)) - 2;
+      } else if (mode == 2) {
+        when = base + 1 + static_cast<int64_t>(rng.NextBounded(1 << 16));
+        priority = static_cast<int>(rng.NextBounded(5)) - 2;
       }
-      ASSERT_EQ(cal.NextTime(), ref.NextTime());
+      schedule(SimTime::Micros(when), priority);
     }
+    ASSERT_EQ(cal.NextTime(), ref.NextTime());
   }
   EXPECT_TRUE(cal.empty());
   EXPECT_EQ(cal_log, ref_log);
@@ -273,7 +262,7 @@ TEST(EventQueueEquivalenceTest, LockstepMatchesReferenceAcrossSeeds) {
 
 TEST(EventQueueEquivalenceTest, BatchedDrainMatchesReferenceAcrossSeeds) {
   for (uint64_t seed = 101; seed <= 156; ++seed) {
-    RunBatchedLockstep(seed, 600);
+    RunInterferingDrain(seed, 600);
     if (HasFatalFailure()) return;
   }
 }

@@ -150,8 +150,8 @@ TEST(EventQueueStressTest, MonotoneFarFutureOverflow) {
 }
 
 // Callbacks scheduling more events while the queue is mid-drain,
-// including same-instant events at a lower priority than the one in
-// flight (which must preempt an open batch rather than be skipped).
+// including a same-instant event at a lower priority value than the one
+// in flight (which must fire next, ahead of later instants).
 TEST(EventQueueStressTest, ScheduleFromInsideCallback) {
   EventQueue q;
   std::vector<int> fired;
@@ -167,35 +167,29 @@ TEST(EventQueueStressTest, ScheduleFromInsideCallback) {
     });
   };
 
-  int preempted = 0;
   q.Schedule(SimTime::Micros(10),
              [&] {
                clock = 10;
                fired.push_back(1);
-               // Same time, smaller priority value: outranks the open
-               // (10, priority 0) batch, so the calendar must hand the
-               // staged remainder back and fire this before moving on.
-               q.Schedule(SimTime::Micros(10), [&] { ++preempted; },
+               // Same time, smaller priority value: outranks every
+               // pending event, so it must fire before the queue moves
+               // on to a later instant.
+               q.Schedule(SimTime::Micros(10), [&] { fired.push_back(-5); },
                           /*priority=*/-5);
                spawn(0);
              },
              /*priority=*/0);
 
-  // Drain in batched mode to exercise stage reentrancy.  Events fire in
-  // nondecreasing time even though callbacks keep scheduling.
+  // Events fire in nondecreasing time even though callbacks keep
+  // scheduling.
   int64_t last_us = 0;
   while (!q.empty()) {
-    const EventQueue::Batch batch = q.PopInterval();
-    EXPECT_GE(batch.time.micros(), last_us);
-    last_us = batch.time.micros();
-    EventQueue::Fired f;
-    while (q.PopStaged(&f)) {
-      EXPECT_EQ(f.time.micros(), last_us);
-      f.fn();
-    }
+    EventQueue::Fired f = q.PopNext();
+    EXPECT_GE(f.time.micros(), last_us);
+    last_us = f.time.micros();
+    f.fn();
   }
-  EXPECT_EQ(preempted, 1);
-  EXPECT_EQ(fired, (std::vector<int>{1, 100, 101, 102, 103, 104, 105}));
+  EXPECT_EQ(fired, (std::vector<int>{1, -5, 100, 101, 102, 103, 104, 105}));
 }
 
 TEST(EventQueueStressTest, CancelEverythingLeavesCleanQueue) {

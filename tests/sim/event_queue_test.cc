@@ -107,84 +107,6 @@ TEST(EventQueueTest, ManyEventsStressOrdering) {
   }
 }
 
-TEST(EventQueueTest, PopIntervalReturnsWholeCohort) {
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    q.Schedule(SimTime::Seconds(1), [&order, i] { order.push_back(i); });
-  }
-  q.Schedule(SimTime::Seconds(2), [&order] { order.push_back(99); });
-
-  EventQueue::Batch batch = q.PopInterval();
-  EXPECT_EQ(batch.time, SimTime::Seconds(1));
-  EXPECT_EQ(batch.priority, 0);
-  EXPECT_EQ(batch.count, 5u);
-
-  EventQueue::Fired f;
-  while (q.PopStaged(&f)) {
-    EXPECT_EQ(f.time, SimTime::Seconds(1));
-    f.fn();
-  }
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_EQ(q.NextTime(), SimTime::Seconds(2));
-}
-
-TEST(EventQueueTest, PriorityPartitionsBatchesAtOneInstant) {
-  EventQueue q;
-  q.Schedule(SimTime::Seconds(1), [] {}, /*priority=*/2);
-  q.Schedule(SimTime::Seconds(1), [] {}, /*priority=*/1);
-  q.Schedule(SimTime::Seconds(1), [] {}, /*priority=*/1);
-
-  EventQueue::Batch first = q.PopInterval();
-  EXPECT_EQ(first.priority, 1);
-  EXPECT_EQ(first.count, 2u);
-  EventQueue::Fired f;
-  while (q.PopStaged(&f)) f.fn();
-
-  EventQueue::Batch second = q.PopInterval();
-  EXPECT_EQ(second.priority, 2);
-  EXPECT_EQ(second.count, 1u);
-}
-
-TEST(EventQueueTest, CancelWhileStagedPreventsFiring) {
-  EventQueue q;
-  int fired = 0;
-  q.Schedule(SimTime::Seconds(1), [&] { ++fired; });
-  EventHandle victim = q.Schedule(SimTime::Seconds(1), [&] { ++fired; });
-  q.Schedule(SimTime::Seconds(1), [&] { ++fired; });
-
-  EventQueue::Batch batch = q.PopInterval();
-  EXPECT_EQ(batch.count, 3u);
-  EXPECT_TRUE(q.Cancel(victim));  // staged but not yet popped
-  EXPECT_FALSE(q.Cancel(victim));
-
-  EventQueue::Fired f;
-  while (q.PopStaged(&f)) f.fn();
-  EXPECT_EQ(fired, 2);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueueTest, EqualKeyScheduleJoinsOpenBatchInstant) {
-  EventQueue q;
-  std::vector<int> order;
-  q.Schedule(SimTime::Seconds(1), [&] { order.push_back(0); });
-  (void)q.PopInterval();
-
-  EventQueue::Fired f;
-  ASSERT_TRUE(q.PopStaged(&f));
-  f.fn();
-  // Same (time, priority) as the open batch: its seq is larger than
-  // every staged entry, so it fires at this instant, after them.
-  q.Schedule(SimTime::Seconds(1), [&] { order.push_back(1); });
-  while (q.PopStaged(&f)) f.fn();
-  // The new event is found by the next PopInterval at the same key.
-  EventQueue::Batch batch = q.PopInterval();
-  EXPECT_EQ(batch.time, SimTime::Seconds(1));
-  while (q.PopStaged(&f)) f.fn();
-  EXPECT_EQ(order, (std::vector<int>{0, 1}));
-}
-
 TEST(EventQueueTest, ScheduleAndCancelChurnKeepsMemoryBounded) {
   EventQueue q;
   // One million schedule/cancel pairs against a small live set.  With
@@ -212,11 +134,6 @@ TEST(EventQueueTest, ScheduleAndCancelChurnKeepsMemoryBounded) {
 TEST(EventQueueDeathTest, PopOnEmptyAborts) {
   EventQueue q;
   EXPECT_DEATH(q.PopNext(), "PopNext on empty");
-}
-
-TEST(EventQueueDeathTest, PopIntervalOnEmptyAborts) {
-  EventQueue q;
-  EXPECT_DEATH(q.PopInterval(), "PopInterval on empty");
 }
 
 }  // namespace

@@ -74,10 +74,19 @@ bool ParseFlag(const char* arg, const char* name, std::string* value) {
   return true;
 }
 
+// Reports the value of flag `arg` ("--name=value", or a bare "--name")
+// as invalid.  Always returns false.
+bool Reject(const char* arg) {
+  const size_t name_len = std::strcspn(arg, "=");
+  const char* value = arg[name_len] == '=' ? arg + name_len + 1 : "";
+  std::fprintf(stderr, "invalid value '%s' for %.*s\n", value,
+               static_cast<int>(name_len), arg);
+  return false;
+}
+
 // Parses the whole of `value` as a T in [lo, hi].  Empty values,
 // trailing characters, out-of-range values and (failing both bounds)
-// NaN are rejected with a message naming the flag `arg` (its text up
-// to '=').
+// NaN are rejected with a message naming the flag `arg`.
 template <typename T>
 bool ParseNumber(const char* arg, const std::string& value, T* out,
                  T lo = std::numeric_limits<T>::lowest(),
@@ -86,9 +95,7 @@ bool ParseNumber(const char* arg, const std::string& value, T* out,
   T parsed{};
   const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
   if (ec != std::errc() || ptr != end || !(parsed >= lo && parsed <= hi)) {
-    std::fprintf(stderr, "invalid value '%s' for %.*s\n", value.c_str(),
-                 static_cast<int>(std::strcspn(arg, "=")), arg);
-    return false;
+    return Reject(arg);
   }
   *out = parsed;
   return true;
@@ -97,6 +104,13 @@ bool ParseNumber(const char* arg, const std::string& value, T* out,
 // Durations in hours become int64_t SimTime microseconds; this bound
 // keeps each one, and the sum of warm-up and measurement, in range.
 constexpr double kMaxHours = 1e9;
+// The shortest accepted positive duration (3.6 ms): a quarter of it,
+// the chaos plan's mean stall, is still a whole number of microseconds.
+constexpr double kMinHours = 1e-6;
+// Most fault events of one kind a chaos plan may expect to draw.
+constexpr double kMaxChaosEvents = 1e6;
+
+constexpr int32_t kMaxInt32 = std::numeric_limits<int32_t>::max();
 
 int Run(int argc, char** argv) {
   ExperimentConfig cfg;
@@ -108,6 +122,7 @@ int Run(int argc, char** argv) {
   double chaos_mtbf_hours = 200.0;
   double chaos_mttr_hours = 0.5;
   int32_t chaos_domains = 0;
+  const char* chaos_domains_arg = nullptr;
   for (int i = 1; i < argc; ++i) {
     std::string v;
     double x = 0.0;  // scratch for flags converted to a unit type
@@ -130,7 +145,7 @@ int Run(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "--mean", &v)) {
       if (!ParseNumber(argv[i], v, &cfg.geometric_mean)) return 2;
     } else if (ParseFlag(argv[i], "--disks", &v)) {
-      if (!ParseNumber(argv[i], v, &cfg.num_disks)) return 2;
+      if (!ParseNumber(argv[i], v, &cfg.num_disks, 1, kMaxInt32)) return 2;
     } else if (ParseFlag(argv[i], "--objects", &v)) {
       if (!ParseNumber(argv[i], v, &cfg.num_objects)) return 2;
     } else if (ParseFlag(argv[i], "--subobjects", &v)) {
@@ -153,17 +168,17 @@ int Run(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "--preload", &v)) {
       if (!ParseNumber(argv[i], v, &cfg.preload_objects)) return 2;
     } else if (ParseFlag(argv[i], "--warmup-hours", &v)) {
-      if (!ParseNumber(argv[i], v, &x, -kMaxHours, kMaxHours)) return 2;
+      if (!ParseNumber(argv[i], v, &x, 0.0, kMaxHours)) return 2;
       cfg.warmup = SimTime::Hours(x);
     } else if (ParseFlag(argv[i], "--measure-hours", &v)) {
-      if (!ParseNumber(argv[i], v, &x, -kMaxHours, kMaxHours)) return 2;
+      if (!ParseNumber(argv[i], v, &x, kMinHours, kMaxHours)) return 2;
       cfg.measure = SimTime::Hours(x);
     } else if (ParseFlag(argv[i], "--seed", &v)) {
       if (!ParseNumber(argv[i], v, &cfg.seed)) return 2;
     } else if (ParseFlag(argv[i], "--replications", &v)) {
-      if (!ParseNumber(argv[i], v, &replications)) return 2;
+      if (!ParseNumber(argv[i], v, &replications, 1, kMaxInt32)) return 2;
     } else if (ParseFlag(argv[i], "--threads", &v)) {
-      if (!ParseNumber(argv[i], v, &threads)) return 2;
+      if (!ParseNumber(argv[i], v, &threads, 1, kMaxInt32)) return 2;
     } else if (ParseFlag(argv[i], "--parity", &v)) {
       cfg.parity = true;
     } else if (ParseFlag(argv[i], "--spares", &v)) {
@@ -194,13 +209,14 @@ int Run(int argc, char** argv) {
       }
     } else if (ParseFlag(argv[i], "--chaos-mttr-hours", &v)) {
       chaos = true;
-      if (!ParseNumber(argv[i], v, &chaos_mttr_hours, -kMaxHours,
+      if (!ParseNumber(argv[i], v, &chaos_mttr_hours, kMinHours,
                        kMaxHours)) {
         return 2;
       }
     } else if (ParseFlag(argv[i], "--chaos-domains", &v)) {
       chaos = true;
-      if (!ParseNumber(argv[i], v, &chaos_domains)) return 2;
+      chaos_domains_arg = argv[i];
+      if (!ParseNumber(argv[i], v, &chaos_domains, 0, kMaxInt32)) return 2;
     } else if (ParseFlag(argv[i], "--csv", &v)) {
       csv = true;
     } else {
@@ -209,7 +225,29 @@ int Run(int argc, char** argv) {
     }
   }
 
+  const Status valid = cfg.Validate();
+  if (!valid.ok()) {
+    std::fprintf(stderr, "error: %s\n", valid.ToString().c_str());
+    return 2;
+  }
+  if (chaos_domains > cfg.num_disks) {
+    Reject(chaos_domains_arg);
+    return 2;
+  }
+
   if (chaos) {
+    // Latent errors come at twice the failure rate, so they bound the
+    // plan's size.  A non-positive MTBF draws no events.
+    const double latents = 2.0 * cfg.num_disks *
+                           (cfg.warmup + cfg.measure).hours() /
+                           chaos_mtbf_hours;
+    if (chaos_mtbf_hours > 0 && !(latents <= kMaxChaosEvents)) {
+      std::fprintf(stderr,
+                   "a chaos plan at --chaos-mtbf-hours=%g would draw %g "
+                   "latent errors (at most %g)\n",
+                   chaos_mtbf_hours, latents, kMaxChaosEvents);
+      return 2;
+    }
     // Seeded chaos plan over the whole run; the serialized form is
     // printed so any run can be replayed exactly by pasting the plan
     // back through FaultPlan::Parse.
