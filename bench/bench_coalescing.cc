@@ -43,7 +43,6 @@ RunResult RunScenario(AdmissionPolicy policy, bool coalesce) {
   config.interval = SimTime::Millis(605);
   config.policy = policy;
   config.coalesce = coalesce;
-  config.fragmented_lookahead = 16;
   auto sched = IntervalScheduler::Create(&sim, &*disks, config);
   STAGGER_CHECK(sched.ok());
 

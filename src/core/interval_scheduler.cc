@@ -16,16 +16,6 @@ Result<std::unique_ptr<IntervalScheduler>> IntervalScheduler::Create(
   if (config.interval <= SimTime::Zero()) {
     return Status::InvalidArgument("scheduler interval must be positive");
   }
-  if (config.fragmented_lookahead < 0) {
-    return Status::InvalidArgument("fragmented lookahead must be >= 0");
-  }
-  if (config.retry_backoff_intervals < 1) {
-    return Status::InvalidArgument("retry backoff must be >= 1 interval");
-  }
-  if (config.max_retry_backoff_intervals < config.retry_backoff_intervals) {
-    return Status::InvalidArgument(
-        "max retry backoff must be >= the initial backoff");
-  }
   STAGGER_ASSIGN_OR_RETURN(VirtualDiskFrame frame,
                            VirtualDiskFrame::Create(disks->num_disks(),
                                                     config.stride));
@@ -205,15 +195,13 @@ STAGGER_HOT_PATH void IntervalScheduler::Tick(int64_t tick_index) {
 }
 
 STAGGER_HOT_PATH void IntervalScheduler::TryAdmissions() {
-  // Scan FIFO; with backfill, requests behind a blocked head may be
+  // Scan FIFO with backfill: requests behind a blocked head may be
   // admitted (the paper's Figure 3 idle slots serving a new request).
   for (auto it = queue_.begin(); it != queue_.end();) {
     if (TryAdmit(*it)) {
       it = queue_.erase(it);
-    } else if (config_.allow_backfill) {
-      ++it;
     } else {
-      break;
+      ++it;
     }
   }
 }
@@ -291,7 +279,7 @@ STAGGER_HOT_PATH bool IntervalScheduler::TryAdmitFragmented(const Pending& p) {
     const bool target_down = check_health && !disks_->IsAvailable(target);
     const auto found = frame_.FindEarliestFreeVdisk(
         vdisk_occupied_, scratch_taken_, interval_index_, target,
-        config_.fragmented_lookahead, target_down);
+        kFragmentedLookahead, target_down);
     if (!found.has_value()) {
       ok = false;
       break;
@@ -656,7 +644,6 @@ void IntervalScheduler::PauseStream(StreamId id) {
   p.arrival = s.arrival_time;
   p.paused_at = sim_->Now();
   p.paused_at_interval = interval_index_;
-  p.backoff = config_.retry_backoff_intervals;
   p.retry_at_interval = interval_index_ + p.backoff;
   p.resumed_mid_display = s.delivered > 0 || s.resumed_mid_display;
 
@@ -697,8 +684,7 @@ void IntervalScheduler::RetryPaused() {
       metrics_.resume_latency_sec.Add((sim_->Now() - p.paused_at).seconds());
       it = paused_.erase(it);
     } else {
-      p.backoff =
-          std::min(p.backoff * 2, config_.max_retry_backoff_intervals);
+      p.backoff = std::min(p.backoff * 2, kMaxRetryBackoffIntervals);
       p.retry_at_interval = interval_index_ + p.backoff;
       ++it;
     }

@@ -39,6 +39,15 @@
 
 namespace stagger {
 
+/// Max alignment delay (intervals) Algorithm 1 accepts for a fragmented
+/// lane.
+inline constexpr int64_t kFragmentedLookahead = 16;
+/// A paused stream's first re-admission attempt comes this many
+/// intervals after the pause; the wait doubles after each failed
+/// attempt, capped at kMaxRetryBackoffIntervals.
+inline constexpr int64_t kRetryBackoffIntervals = 1;
+inline constexpr int64_t kMaxRetryBackoffIntervals = 64;
+
 /// Admission policy (Section 3.2.1).
 enum class AdmissionPolicy {
   kContiguous,   ///< adjacent, aligned virtual disks only
@@ -52,8 +61,9 @@ enum class DegradedPolicy {
   /// a read on an unavailable disk is a fatal contract violation.
   kNone,
   /// Pause the affected stream and re-admit it with bounded exponential
-  /// backoff; a stream paused longer than `max_pause_intervals` is
-  /// cancelled as an interrupted display.
+  /// backoff (kRetryBackoffIntervals doubling up to
+  /// kMaxRetryBackoffIntervals); a stream paused longer than
+  /// `max_pause_intervals` is cancelled as an interrupted display.
   kPause,
   /// First try to remap the lost fragment's bandwidth onto a surviving
   /// disk with slack this interval — the subobject's own stripe disks
@@ -119,19 +129,10 @@ struct SchedulerConfig {
   AdmissionPolicy policy = AdmissionPolicy::kContiguous;
   /// Enable Algorithm 2 lane migration (only meaningful with kFragmented).
   bool coalesce = false;
-  /// Max alignment delay (intervals) accepted for a fragmented lane.
-  int64_t fragmented_lookahead = 16;
   /// Buffer budget in fragments; <= 0 means unlimited.
   int64_t buffer_capacity_fragments = 0;
-  /// Requests behind a blocked head may be admitted (Figure 3's "idle
-  /// time intervals would be used to service the new request").
-  bool allow_backfill = true;
   /// Reaction to reads landing on failed/stalled disks (src/fault/).
   DegradedPolicy degraded_policy = DegradedPolicy::kRemapOrPause;
-  /// First re-admission attempt this many intervals after a pause.
-  int64_t retry_backoff_intervals = 1;
-  /// Backoff doubles after each failed retry, capped here.
-  int64_t max_retry_backoff_intervals = 64;
   /// A stream paused longer than this is cancelled as an interrupted
   /// display; <= 0 means never (retry forever).
   int64_t max_pause_intervals = 4096;
@@ -240,7 +241,7 @@ class IntervalScheduler {
     SimTime paused_at;
     int64_t paused_at_interval = 0;
     int64_t retry_at_interval = 0;  ///< next re-admission attempt
-    int64_t backoff = 1;            ///< current backoff (intervals)
+    int64_t backoff = kRetryBackoffIntervals;  ///< current backoff
     /// True when the display had already delivered subobjects, i.e. the
     /// viewer saw an interruption.
     bool resumed_mid_display = false;

@@ -1,6 +1,7 @@
 #include "disk/disk_array.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/check.h"
 
@@ -13,6 +14,9 @@ Result<DiskArray> DiskArray::Create(int32_t num_disks, const DiskParameters& par
   }
   if (num_spares < 0) {
     return Status::InvalidArgument("spare count must be >= 0");
+  }
+  if (num_spares > std::numeric_limits<int32_t>::max() - num_disks) {
+    return Status::InvalidArgument("disks plus spares overflow int32");
   }
   STAGGER_RETURN_NOT_OK(params.Validate());
   std::vector<Disk> drives;
@@ -32,7 +36,6 @@ DiskArray::DiskArray(std::vector<Disk> drives, DiskParameters params,
   slot_to_drive_.resize(static_cast<size_t>(num_slots));
   for (int32_t i = 0; i < num_slots; ++i) slot_to_drive_[static_cast<size_t>(i)] = i;
   for (int32_t s = 0; s < num_spares; ++s) free_spares_.push_back(num_slots + s);
-  for (Disk& d : drives_) d.AttachClock(clock_.get());
   busy_drives_.Resize(static_cast<int32_t>(drives_.size()));
   drive_busy_intervals_.assign(drives_.size(), 0);
   unavailable_slots_.Resize(num_slots);

@@ -252,8 +252,8 @@ class DiskArray {
   std::vector<int32_t> free_spares_;
   /// Spare drive indices claimed by AcquireSpare, pending promotion.
   std::vector<int32_t> claimed_spares_;
-  /// Shared interval clock; heap-allocated so the drives' back-pointers
-  /// (used for lazy down-time accounting) survive moves of the array.
+  /// Shared interval clock; heap-allocated so the latent-error map's
+  /// back-pointer survives moves of the array.
   std::unique_ptr<IntervalClock> clock_;
   /// Bit set == physical drive is transferring this interval.  Indexed
   /// by drive (construction index), so the bits stay valid across slot

@@ -175,15 +175,6 @@ class FaultPlan {
   /// Inverse of ToString(); blank lines and '#' comments are skipped.
   static Result<FaultPlan> Parse(const std::string& text);
 
-  /// Deterministic random plan: `num_failures` fail/recover pairs and
-  /// `num_stalls` stalls, uniformly placed over [0, horizon), with
-  /// exponential outage / stall durations.  Events that would violate
-  /// per-disk consistency (e.g. a second failure inside an open outage)
-  /// are re-drawn, so the result always passes Validate().
-  static FaultPlan Random(Rng* rng, int32_t num_disks, SimTime horizon,
-                          int32_t num_failures, int32_t num_stalls,
-                          SimTime mean_outage, SimTime mean_stall);
-
   /// Seeded chaos generator: draws fail/recover pairs, stalls,
   /// degrades, and latent errors at the MTBF-driven rates of `params`
   /// over `params.horizon`, optionally correlated across contiguous

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -54,8 +55,48 @@ Status ExperimentConfig::Validate() const {
   if (measure <= SimTime::Zero()) {
     return Status::InvalidArgument("measurement window must be positive");
   }
-  if (Degree() > num_disks) {
+  // Bound the bandwidth ratio by D before Degree() casts it to int32.
+  const double ratio = display_bandwidth.bits_per_sec() /
+                       EffectiveDiskBandwidth().bits_per_sec();
+  if (!(ratio - 1e-9 <= static_cast<double>(num_disks))) {
     return Status::InvalidArgument("degree of declustering exceeds D");
+  }
+  if (Degree() < 1) {
+    return Status::InvalidArgument("degree of declustering must be >= 1");
+  }
+  if (scheme == Scheme::kStaggered && (stride < 1 || stride > num_disks)) {
+    return Status::InvalidArgument("stride must be in [1, D]");
+  }
+  if (preload_objects < 0) {
+    return Status::InvalidArgument("preload count must be >= 0");
+  }
+  if (num_spares < 0) return Status::InvalidArgument("spare count must be >= 0");
+  if (num_spares > std::numeric_limits<int32_t>::max() - num_disks) {
+    return Status::InvalidArgument("disks plus spares overflow int32");
+  }
+  // An object's size in bits, and the instant its tertiary transfer
+  // lands (in microseconds, from as late as the run's end), must fit in
+  // int64: DataSize and SimTime would overflow otherwise.
+  int64_t fragments = 0;
+  int64_t object_bytes = 0;
+  int64_t object_bits = 0;
+  if (__builtin_mul_overflow(subobjects_per_object, Degree(), &fragments) ||
+      __builtin_mul_overflow(fragments, FragmentSize().bytes(),
+                             &object_bytes) ||
+      __builtin_mul_overflow(object_bytes, 8, &object_bits)) {
+    return Status::InvalidArgument("object size in bits overflows int64");
+  }
+  const double transfer_us =
+      std::ceil(DataSize::Bytes(object_bytes).bits() /
+                tertiary.bandwidth.bits_per_sec() * 1e6);
+  int64_t landing_us = 0;
+  if (!(transfer_us < 0x1p63) ||
+      __builtin_add_overflow(static_cast<int64_t>(transfer_us),
+                             tertiary.reposition.micros(), &landing_us) ||
+      __builtin_add_overflow(landing_us, warmup.micros(), &landing_us) ||
+      __builtin_add_overflow(landing_us, measure.micros(), &landing_us)) {
+    return Status::InvalidArgument(
+        "tertiary transfer time overflows int64 microseconds");
   }
   if (open_arrivals) {
     if (mean_interarrival <= SimTime::Zero()) {

@@ -183,38 +183,5 @@ TEST_F(SchedulerEdgeTest, DisksReusableImmediatelyAfterCancel) {
   EXPECT_EQ(completed, 1);
 }
 
-TEST_F(SchedulerEdgeTest, ZeroLookaheadMatchesContiguousLatency) {
-  // With lookahead 0 the fragmented policy can only pick the disks that
-  // are aligned right now — exactly the contiguous rule.
-  for (bool fragmented : {false, true}) {
-    SchedulerConfig config;
-    config.policy = fragmented ? AdmissionPolicy::kFragmented
-                               : AdmissionPolicy::kContiguous;
-    config.fragmented_lookahead = 0;
-    Simulator sim;
-    auto disks = DiskArray::Create(6, DiskParameters::Evaluation());
-    config.stride = 1;
-    config.interval = kInterval;
-    auto sched = IntervalScheduler::Create(&sim, &*disks, config);
-    ASSERT_TRUE(sched.ok());
-    SimTime latency_a, latency_b;
-    DisplayRequest a;
-    a.degree = 4;
-    a.num_subobjects = 8;
-    a.on_started = [&latency_a](SimTime l) { latency_a = l; };
-    a.on_completed = [] {};
-    ASSERT_TRUE((*sched)->Submit(std::move(a)).ok());
-    DisplayRequest b;
-    b.degree = 4;
-    b.num_subobjects = 8;
-    b.on_started = [&latency_b](SimTime l) { latency_b = l; };
-    b.on_completed = [] {};
-    ASSERT_TRUE((*sched)->Submit(std::move(b)).ok());
-    sim.RunUntil(SimTime::Minutes(1));
-    EXPECT_EQ(latency_a, SimTime::Zero());
-    EXPECT_GT(latency_b, SimTime::Zero());
-  }
-}
-
 }  // namespace
 }  // namespace stagger

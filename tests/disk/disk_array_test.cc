@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "disk/disk.h"
 
 namespace stagger {
@@ -43,6 +45,10 @@ TEST(DiskArrayTest, CreateValidates) {
   DiskParameters bad = DiskParameters::Evaluation();
   bad.num_cylinders = -1;
   EXPECT_FALSE(DiskArray::Create(10, bad).ok());
+  // D + S must fit in int32.
+  EXPECT_FALSE(DiskArray::Create(1000, DiskParameters::Evaluation(),
+                                 std::numeric_limits<int32_t>::max())
+                   .ok());
 }
 
 TEST(DiskArrayTest, WrapIsModular) {

@@ -125,25 +125,6 @@ TEST(FaultPlanTest, SortedOrdersByTime) {
   EXPECT_LE(sorted[1].at, sorted[2].at);
 }
 
-TEST(FaultPlanTest, RandomPlansAlwaysValidate) {
-  for (uint64_t seed = 1; seed <= 25; ++seed) {
-    Rng rng(seed);
-    FaultPlan plan = FaultPlan::Random(&rng, /*num_disks=*/12,
-                                       /*horizon=*/SimTime::Hours(1),
-                                       /*num_failures=*/3, /*num_stalls=*/3,
-                                       /*mean_outage=*/SimTime::Minutes(5),
-                                       /*mean_stall=*/SimTime::Seconds(30));
-    EXPECT_TRUE(plan.Validate(12).ok())
-        << "seed " << seed << ": " << plan.Validate(12) << "\n"
-        << plan.ToString();
-  }
-}
-
-// ---------------------------------------------------------------------
-// Same-instant tie-breaks: deterministic apply order recover < fail <
-// stall, with exact duplicates rejected.
-// ---------------------------------------------------------------------
-
 TEST(FaultPlanTest, SameInstantRecoverThenFailIsLegal) {
   // A back-to-back outage: the old failure ends and a new one begins at
   // the same timestamp.  The recover applies first regardless of the
@@ -374,18 +355,6 @@ TEST(FaultPlanTest, GenerateIsDeterministicPerSeed) {
   Rng b(7);
   EXPECT_EQ(FaultPlan::Generate(&a, 10, params).ToString(),
             FaultPlan::Generate(&b, 10, params).ToString());
-}
-
-TEST(FaultPlanTest, RandomIsDeterministicPerSeed) {
-  Rng a(42);
-  Rng b(42);
-  const FaultPlan pa =
-      FaultPlan::Random(&a, 8, SimTime::Hours(1), 2, 2,
-                        SimTime::Minutes(3), SimTime::Seconds(10));
-  const FaultPlan pb =
-      FaultPlan::Random(&b, 8, SimTime::Hours(1), 2, 2,
-                        SimTime::Minutes(3), SimTime::Seconds(10));
-  EXPECT_EQ(pa.ToString(), pb.ToString());
 }
 
 }  // namespace

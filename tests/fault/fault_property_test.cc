@@ -81,12 +81,16 @@ TEST_P(FaultPropertyTest, RandomFaultsKeepInvariantsEveryInterval) {
   auto sched = IntervalScheduler::Create(&sim, &*disks, config);
   ASSERT_TRUE(sched.ok()) << sched.status();
 
-  // All faults start (and stalls end) inside the first 200 intervals;
-  // failures recover within the plan by construction.
-  const FaultPlan plan = FaultPlan::Random(
-      &rng, kDisks, /*horizon=*/kInterval * 200, /*num_failures=*/3,
-      /*num_stalls=*/3, /*mean_outage=*/kInterval * 20,
-      /*mean_stall=*/kInterval * 5);
+  // All faults start inside the first 200 intervals; failures recover
+  // within the plan by construction.  The per-disk MTBFs draw 3
+  // fail/recover pairs and 3 stalls over the horizon.
+  ChaosParams chaos;
+  chaos.horizon = kInterval * 200;
+  chaos.mtbf = SimTime::Micros(chaos.horizon.micros() * kDisks / 3);
+  chaos.mttr = kInterval * 20;
+  chaos.stall_mtbf = chaos.mtbf;
+  chaos.mean_stall = kInterval * 5;
+  const FaultPlan plan = FaultPlan::Generate(&rng, kDisks, chaos);
   ASSERT_TRUE(plan.Validate(kDisks).ok());
   auto injector = FaultInjector::Create(&sim, &*disks, plan);
   ASSERT_TRUE(injector.ok()) << injector.status();

@@ -78,20 +78,8 @@ TEST_F(StripedServerTest, ConfigValidation) {
 }
 
 TEST_F(StripedServerTest, ConfigValidationFragmentedAndCoalesce) {
-  // kFragmented with a non-positive lookahead degenerates to contiguous
-  // admission while paying Algorithm 1's bookkeeping: rejected.
   StripedConfig config;
   config.policy = AdmissionPolicy::kFragmented;
-  config.fragmented_lookahead = 0;
-  EXPECT_TRUE(config.Validate().IsInvalidArgument());
-  config.fragmented_lookahead = -3;
-  EXPECT_TRUE(config.Validate().IsInvalidArgument());
-  config.fragmented_lookahead = 16;
-  EXPECT_TRUE(config.Validate().ok());
-  // A contiguous policy tolerates any lookahead value (it is unused).
-  config = StripedConfig{};
-  config.policy = AdmissionPolicy::kContiguous;
-  config.fragmented_lookahead = 0;
   EXPECT_TRUE(config.Validate().ok());
 
   // Coalescing requires the fragmented policy ...
@@ -102,24 +90,11 @@ TEST_F(StripedServerTest, ConfigValidationFragmentedAndCoalesce) {
   // ... and a buffer pool that can hold at least one lookahead's worth
   // of fragments (unlimited pools are fine).
   config.policy = AdmissionPolicy::kFragmented;
-  config.fragmented_lookahead = 16;
   config.buffer_capacity_fragments = 8;
   EXPECT_TRUE(config.Validate().IsInvalidArgument());
   config.buffer_capacity_fragments = 16;
   EXPECT_TRUE(config.Validate().ok());
   config.buffer_capacity_fragments = 0;  // unlimited
-  EXPECT_TRUE(config.Validate().ok());
-}
-
-TEST_F(StripedServerTest, ConfigValidationDegradedBackoff) {
-  StripedConfig config;
-  config.retry_backoff_intervals = 0;
-  EXPECT_TRUE(config.Validate().IsInvalidArgument());
-  config = StripedConfig{};
-  config.retry_backoff_intervals = 8;
-  config.max_retry_backoff_intervals = 4;
-  EXPECT_TRUE(config.Validate().IsInvalidArgument());
-  config.max_retry_backoff_intervals = 8;
   EXPECT_TRUE(config.Validate().ok());
 }
 
