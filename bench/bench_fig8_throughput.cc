@@ -124,7 +124,6 @@ int Run(bool quick, bool csv, bool report_json) {
               admission_p50, admission_p95, admission_p99);
 
   // Scale point beyond the paper: D = 10000 disks, one striping cell.
-  // Exercises the calendar ring with 10x the per-interval event cohort.
   {
     ExperimentConfig big;
     big.num_disks = 10000;

@@ -35,6 +35,30 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(1024)->Arg(4096)->Arg(16384);
 
+// The simulator's steady state: `depth` pending events, and every pop
+// schedules a successor up to one interval (605 000 us) ahead.  Sampled
+// before every pop, the simulator benchmark's workloads hold 2-9 events
+// on average and at most 177.
+void BM_EventQueueHold(benchmark::State& state) {
+  constexpr uint64_t kIntervalMicros = 605000;
+  Rng rng(1);
+  EventQueue q;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    q.Schedule(SimTime::Micros(static_cast<int64_t>(
+                   rng.NextBounded(kIntervalMicros))),
+               [] {});
+  }
+  for (auto _ : state) {
+    auto fired = q.PopNext();
+    benchmark::DoNotOptimize(fired.time);
+    q.Schedule(fired.time + SimTime::Micros(static_cast<int64_t>(
+                                1 + rng.NextBounded(kIntervalMicros))),
+               [] {});
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueHold)->Arg(2)->Arg(8)->Arg(256);
+
 void BM_LayoutDiskFor(benchmark::State& state) {
   auto layout = StaggeredLayout::Create(1000, 17, 5, 5);
   int64_t i = 0;
@@ -177,7 +201,8 @@ int main(int argc, char** argv) {
   report.SetBaseline("BM_SchedulerIntervalTick/50", 8250.0);
   report.SetBaseline("BM_SchedulerIntervalTick/200", 22437.0);
   report.SetBaseline("BM_LayoutDiskFor", 3.90);
-  // Binary-heap event kernel (pre-calendar-queue), same workloads.
+  // The first event kernel (std::priority_queue holding each callback,
+  // hash-set cancellation), same workloads.
   report.SetBaseline("BM_EventQueueScheduleAndPop/1024", 196.4);
   report.SetBaseline("BM_EventQueueScheduleAndPop/4096", 257.2);
   report.SetBaseline("BM_EventQueueScheduleAndPop/16384", 279.3);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <set>
@@ -211,6 +212,13 @@ Status FaultPlan::Validate(int32_t num_disks) const {
       return Status::InvalidArgument(std::string(FaultKindName(e.kind)) +
                                      " duration must be positive");
     }
+    // The implicit recovery at `at + duration` must be a representable
+    // instant (at >= 0 here, so Max() - at cannot overflow).
+    if ((e.kind == FaultKind::kStall || e.kind == FaultKind::kDegrade) &&
+        e.duration > SimTime::Max() - e.at) {
+      return Status::InvalidArgument(std::string(FaultKindName(e.kind)) +
+                                     " ends past the largest SimTime");
+    }
     if (e.kind == FaultKind::kDegrade && (e.percent < 1 || e.percent > 99)) {
       return Status::InvalidArgument(
           "degrade percent " + std::to_string(e.percent) + " outside [1, 99]");
@@ -342,18 +350,24 @@ bool ParseInt(const std::string& token, int64_t* out) {
   return true;
 }
 
+/// ParseInt for int32 fields (disk and domain ids, percentages): a
+/// value outside int32 is rejected, not truncated into another id.
+bool ParseInt32(const std::string& token, int32_t* out) {
+  int64_t value = 0;
+  if (!ParseInt(token, &value) || value < INT32_MIN || value > INT32_MAX) {
+    return false;
+  }
+  *out = static_cast<int32_t>(value);
+  return true;
+}
+
 /// Parses an event target: a bare disk id, or `@<domain>`.
 bool ParseTarget(const std::string& token, DiskId* disk, int32_t* domain) {
-  int64_t value = 0;
   if (!token.empty() && token[0] == '@') {
-    if (!ParseInt(token.substr(1), &value) || value < 0) return false;
-    *domain = static_cast<int32_t>(value);
-    return true;
+    return ParseInt32(token.substr(1), domain) && *domain >= 0;
   }
-  if (!ParseInt(token, &value)) return false;
-  *disk = static_cast<DiskId>(value);
   *domain = -1;
-  return true;
+  return ParseInt32(token, disk);
 }
 
 }  // namespace
@@ -386,12 +400,12 @@ Result<FaultPlan> FaultPlan::Parse(const std::string& text) {
       }
       std::vector<DiskId> members;
       while (ls >> token) {
-        int64_t disk = 0;
-        if (!ParseInt(token, &disk)) {
+        DiskId disk = 0;
+        if (!ParseInt32(token, &disk)) {
           return Status::InvalidArgument(where + ": bad domain member '" +
                                          token + "'");
         }
-        members.push_back(static_cast<DiskId>(disk));
+        members.push_back(disk);
       }
       if (members.empty()) {
         return Status::InvalidArgument(where + ": domain has no members");
@@ -440,19 +454,17 @@ Result<FaultPlan> FaultPlan::Parse(const std::string& text) {
       std::string dur_token;
       std::string pct_token;
       int64_t duration = 0;
-      int64_t percent = 0;
+      int32_t percent = 0;
       if (!(ls >> dur_token >> pct_token) || !ParseInt(dur_token, &duration) ||
-          !ParseInt(pct_token, &percent)) {
+          !ParseInt32(pct_token, &percent)) {
         return Status::InvalidArgument(
             "degrade on line " + std::to_string(line_no) +
             " needs <duration_micros> <percent>");
       }
       if (domain >= 0) {
-        plan.DegradeDomainAt(domain, at, SimTime::Micros(duration),
-                             static_cast<int32_t>(percent));
+        plan.DegradeDomainAt(domain, at, SimTime::Micros(duration), percent);
       } else {
-        plan.DegradeAt(disk, at, SimTime::Micros(duration),
-                       static_cast<int32_t>(percent));
+        plan.DegradeAt(disk, at, SimTime::Micros(duration), percent);
       }
     } else if (kind == "latent") {
       std::string lo_token;

@@ -109,6 +109,15 @@ Status ExperimentConfig::Validate() const {
       return Status::InvalidArgument("scan speedup must be >= 1");
     }
   }
+  // VDR places whole objects on one cluster, so every disk of the
+  // cluster holds a subobject's fragment of each of them.
+  int64_t object_cylinders = 0;
+  if (scheme == Scheme::kVdr &&
+      (__builtin_mul_overflow(subobjects_per_object, fragment_cylinders,
+                              &object_cylinders) ||
+       object_cylinders > disk.num_cylinders)) {
+    return Status::InvalidArgument("object larger than a VDR cluster's disks");
+  }
   if (batch && scheme == Scheme::kVdr) {
     return Status::InvalidArgument(
         "stream batching is a striped-server feature");
@@ -183,12 +192,11 @@ Result<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
     vc.cluster_degree = config.Degree();
     vc.interval = config.Interval();
     vc.fragment_size = config.FragmentSize();
-    // Whole objects per cluster under the disk capacities.
-    const int64_t per_disk_cylinders = config.disk.num_cylinders;
-    const int64_t object_cylinders_per_disk =
-        config.subobjects_per_object * config.fragment_cylinders;
-    vc.objects_per_cluster = static_cast<int32_t>(std::max<int64_t>(
-        1, per_disk_cylinders / object_cylinders_per_disk));
+    // Whole objects per cluster under the disk capacities (Validate
+    // guarantees at least one fits).
+    vc.objects_per_cluster = static_cast<int32_t>(
+        config.disk.num_cylinders /
+        (config.subobjects_per_object * config.fragment_cylinders));
     vc.enable_replication = config.enable_replication;
     vc.replication_wait_threshold = config.replication_wait_threshold;
     vc.preload_objects = config.preload_objects;

@@ -109,21 +109,6 @@ class Bitmap {
     }
   }
 
-  /// Index of the first set bit at or after `from` (clamped to 0), or
-  /// -1 if none.  O(size/64) worst case, one word scan typically.
-  STAGGER_HOT_PATH int32_t FindNextSet(int32_t from) const {
-    if (from < 0) from = 0;
-    if (from >= size_) return -1;
-    size_t w = static_cast<size_t>(from >> 6);
-    uint64_t bits = words_[w] & (~uint64_t{0} << (static_cast<uint32_t>(from) & 63));
-    while (bits == 0) {
-      if (++w == words_.size()) return -1;
-      bits = words_[w];
-    }
-    return static_cast<int32_t>((w << 6) +
-                                static_cast<size_t>(std::countr_zero(bits)));
-  }
-
   /// True when none of the bits in the modular window
   /// [start, start + len) (mod size) is set.  len in [0, size].
   STAGGER_HOT_PATH bool WindowClear(int32_t start, int32_t len) const {

@@ -6,7 +6,6 @@
 
 #include "util/bitmap.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -120,62 +119,6 @@ TEST(BitmapPropertyTest, SetWindowMatchesNaive) {
       }
     }
   }
-}
-
-// Reference for FindNextSet: scan bits one by one.
-int32_t FindNextSetNaive(const Bitmap& b, int32_t from) {
-  for (int32_t i = std::max(from, 0); i < b.size(); ++i) {
-    if (b.Test(i)) return i;
-  }
-  return -1;
-}
-
-TEST(BitmapPropertyTest, FindNextSetMatchesNaive) {
-  const int32_t sizes[] = {1, 7, 63, 64, 65, 100, 128, 256, 1000};
-  for (uint64_t seed = 0; seed < 50; ++seed) {
-    Rng rng(seed + 1);
-    for (int32_t size : sizes) {
-      Bitmap b(size);
-      // Density varies per seed: empty, sparse, and dense patterns.
-      const uint64_t density = 1 + seed % 8;
-      for (int32_t i = 0; i < size; ++i) {
-        if (rng.NextBounded(8) < density) b.Set(i);
-      }
-      for (int32_t from : {-3, 0, 1, size / 2, size - 1, size, size + 5}) {
-        ASSERT_EQ(b.FindNextSet(from), FindNextSetNaive(b, from))
-            << "seed=" << seed << " size=" << size << " from=" << from;
-      }
-      const int32_t random_from = static_cast<int32_t>(
-          rng.NextBounded(static_cast<uint64_t>(size) + 2));
-      ASSERT_EQ(b.FindNextSet(random_from), FindNextSetNaive(b, random_from))
-          << "seed=" << seed << " size=" << size << " from=" << random_from;
-    }
-  }
-}
-
-TEST(BitmapTest, FindNextSetEdgeCases) {
-  Bitmap empty(200);
-  EXPECT_EQ(empty.FindNextSet(0), -1);
-  EXPECT_EQ(empty.FindNextSet(-10), -1);
-  EXPECT_EQ(empty.FindNextSet(199), -1);
-  EXPECT_EQ(empty.FindNextSet(200), -1);
-
-  Bitmap b(200);
-  b.Set(0);
-  b.Set(63);
-  b.Set(64);
-  b.Set(199);
-  EXPECT_EQ(b.FindNextSet(-1), 0);
-  EXPECT_EQ(b.FindNextSet(0), 0);
-  EXPECT_EQ(b.FindNextSet(1), 63);
-  EXPECT_EQ(b.FindNextSet(63), 63);
-  EXPECT_EQ(b.FindNextSet(64), 64);
-  EXPECT_EQ(b.FindNextSet(65), 199);
-  EXPECT_EQ(b.FindNextSet(199), 199);
-  EXPECT_EQ(b.FindNextSet(200), -1);
-
-  Bitmap zero_sized;
-  EXPECT_EQ(zero_sized.FindNextSet(0), -1);
 }
 
 // Reference for WindowClear: test bits one by one.

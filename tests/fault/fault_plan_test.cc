@@ -38,6 +38,11 @@ TEST(FaultPlanTest, RejectsNegativeTimeAndNonPositiveStall) {
   FaultPlan stall;
   stall.StallAt(0, SimTime::Seconds(1), SimTime::Zero());
   EXPECT_FALSE(stall.Validate(4).ok());
+  // A window whose implicit recovery instant overflows SimTime.
+  FaultPlan endless;
+  endless.DegradeAt(0, SimTime::Max() - SimTime::Micros(5),
+                    SimTime::Micros(10), 50);
+  EXPECT_FALSE(endless.Validate(4).ok());
 }
 
 TEST(FaultPlanTest, RejectsDoubleFailure) {
@@ -305,6 +310,12 @@ TEST(FaultPlanTest, ParseRejectsMalformedNewKinds) {
   // Trailing junk on otherwise well-formed lines.
   EXPECT_FALSE(FaultPlan::Parse("1000 degrade 3 250000 50 extra").ok());
   EXPECT_FALSE(FaultPlan::Parse("1000 latent 3 10 12 extra").ok());
+  // Ids and percentages outside int32 are rejected, not truncated into
+  // another disk, domain or percentage.
+  EXPECT_FALSE(FaultPlan::Parse("1000 fail 4294967296").ok());
+  EXPECT_FALSE(FaultPlan::Parse("domain 0 1\n1000 fail @4294967296\n").ok());
+  EXPECT_FALSE(FaultPlan::Parse("domain 0 4294967297\n").ok());
+  EXPECT_FALSE(FaultPlan::Parse("1000 degrade 3 250000 4294967346").ok());
   // Out-of-range payloads and undeclared domain references parse (the
   // grammar is satisfied) but fail Validate.
   auto pct = FaultPlan::Parse("1000 degrade 3 250000 0");

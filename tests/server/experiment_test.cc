@@ -87,6 +87,27 @@ TEST(ExperimentTest, VdrRuns) {
   EXPECT_GT(result->resident_objects_end, 0);
 }
 
+// VDR keeps each object whole on one cluster, so an object that needs
+// more cylinders per disk than a disk has fits nowhere; striping spreads
+// the same object over the whole array.
+TEST(ExperimentTest, VdrRejectsObjectLargerThanClusterDisks) {
+  ExperimentConfig cfg = SmallConfig(Scheme::kVdr);
+  cfg.subobjects_per_object = cfg.disk.num_cylinders;
+  EXPECT_TRUE(cfg.Validate().ok());
+  cfg.subobjects_per_object = cfg.disk.num_cylinders + 1;
+  auto result = RunExperiment(cfg);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find(
+                "object larger than a VDR cluster's disks"),
+            std::string::npos)
+      << result.status();
+  cfg.subobjects_per_object = cfg.disk.num_cylinders / 2 + 1;
+  cfg.fragment_cylinders = 2;
+  EXPECT_FALSE(cfg.Validate().ok());
+  cfg.scheme = Scheme::kSimpleStriping;
+  EXPECT_TRUE(cfg.Validate().ok());
+}
+
 // The headline qualitative claim at miniature scale: under skewed
 // access and load, striping outperforms virtual data replication.
 TEST(ExperimentTest, StripingBeatsVdrUnderLoad) {

@@ -1,12 +1,12 @@
-// Differential test of the calendar-queue event kernel against the
-// binary-heap implementation it replaced.  The reference below is the
-// old heap verbatim (modulo naming): (time, priority, seq) heap with
-// lazy cancellation through id sets.  Every observable — firing order,
-// NextTime(), size(), Cancel() return values — must match the calendar
-// queue at every step of a randomized op sequence, across seeds that
-// exercise clustered instants, far-future overflow (multiple ring
-// years), priority ties, and cancels and schedules at the key being
-// drained.
+// Differential test of the binary-heap event kernel against a reference
+// heap written the simplest way: std::priority_queue over (time,
+// priority, seq) with lazy cancellation through id sets.  EventQueue
+// instead keeps callbacks in generation-checked slots, drops cancelled
+// entries when they reach the top and compacts the heap.  Every
+// observable — firing order, NextTime(), size(), Cancel() return
+// values — must match at every step of a randomized op sequence,
+// across seeds that exercise clustered instants, far-future times,
+// priority ties, and cancels and schedules at the key being drained.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +23,7 @@
 namespace stagger {
 namespace {
 
-// The pre-calendar binary-heap event queue, kept as an executable
+// The simulator's first event queue, kept as an executable
 // specification.  Interface matches EventQueue except that handles are
 // plain ids (EventHandle's constructor is private to EventQueue).
 class ReferenceEventQueue {
@@ -99,16 +99,18 @@ class ReferenceEventQueue {
 
 // One scheduled event mirrored into both queues.
 struct Mirrored {
-  EventHandle cal_handle;
+  EventHandle q_handle;
   uint64_t ref_handle = 0;
 };
 
 // Seed-dependent time distribution.  Cycles through regimes so every
-// seed stresses a different bucket pattern:
+// seed stresses a different time pattern:
 //   0: clustered — a handful of distinct instants (dense ties)
-//   1: uniform within one ring year
-//   2: far future — spans many ring years (overflow + rebase)
-//   3: day-aligned — exact multiples of the calendar day width
+//   1: uniform within ~2.1 s
+//   2: far future — spread over ~4.8 h
+//   3: aligned — exact multiples of 8192 us
+constexpr int64_t kAlignMicros = 8192;
+
 int64_t DrawTime(Rng& rng, uint64_t seed) {
   switch (seed % 4) {
     case 0:
@@ -118,8 +120,7 @@ int64_t DrawTime(Rng& rng, uint64_t seed) {
     case 2:
       return static_cast<int64_t>(rng.NextBounded(uint64_t{1} << 34));
     default:
-      return static_cast<int64_t>(rng.NextBounded(512)) *
-             EventQueue::kDayMicros;
+      return static_cast<int64_t>(rng.NextBounded(512)) * kAlignMicros;
   }
 }
 
@@ -128,10 +129,10 @@ int64_t DrawTime(Rng& rng, uint64_t seed) {
 void RunLockstep(uint64_t seed, int rounds) {
   SCOPED_TRACE(testing::Message() << "seed " << seed);
   Rng rng(seed);
-  EventQueue cal;
+  EventQueue q;
   ReferenceEventQueue ref;
   std::vector<Mirrored> events;
-  std::vector<size_t> cal_log;
+  std::vector<size_t> q_log;
   std::vector<size_t> ref_log;
 
   for (int round = 0; round < rounds; ++round) {
@@ -141,46 +142,46 @@ void RunLockstep(uint64_t seed, int rounds) {
       const SimTime when = SimTime::Micros(DrawTime(rng, seed));
       const int priority = static_cast<int>(rng.NextBounded(7)) - 3;
       Mirrored m;
-      m.cal_handle =
-          cal.Schedule(when, [&cal_log, index] { cal_log.push_back(index); },
-                       priority);
+      m.q_handle =
+          q.Schedule(when, [&q_log, index] { q_log.push_back(index); },
+                     priority);
       m.ref_handle =
           ref.Schedule(when, [&ref_log, index] { ref_log.push_back(index); },
                        priority);
-      EXPECT_TRUE(m.cal_handle.valid());
+      EXPECT_TRUE(m.q_handle.valid());
       events.push_back(m);
     } else if (action < 0.75 && !events.empty()) {
       // Cancel a random event: maybe live, maybe fired, maybe already
       // cancelled.  Both queues must agree on the return value.
       Mirrored& m = events[rng.NextBounded(events.size())];
       const bool ref_result = ref.Cancel(m.ref_handle);
-      const bool cal_result = cal.Cancel(m.cal_handle);
-      ASSERT_EQ(cal_result, ref_result);
+      const bool q_result = q.Cancel(m.q_handle);
+      ASSERT_EQ(q_result, ref_result);
     } else if (!ref.empty()) {
-      ASSERT_FALSE(cal.empty());
+      ASSERT_FALSE(q.empty());
       ReferenceEventQueue::Fired rf = ref.PopNext();
-      EventQueue::Fired cf = cal.PopNext();
+      EventQueue::Fired cf = q.PopNext();
       ASSERT_EQ(cf.time, rf.time);
       rf.fn();
       cf.fn();
-      ASSERT_EQ(cal_log, ref_log);
+      ASSERT_EQ(q_log, ref_log);
     }
-    ASSERT_EQ(cal.size(), ref.size());
-    ASSERT_EQ(cal.empty(), ref.empty());
-    ASSERT_EQ(cal.NextTime(), ref.NextTime());
+    ASSERT_EQ(q.size(), ref.size());
+    ASSERT_EQ(q.empty(), ref.empty());
+    ASSERT_EQ(q.NextTime(), ref.NextTime());
   }
 
   // Drain both; identical residue in identical order.
   while (!ref.empty()) {
-    ASSERT_EQ(cal.NextTime(), ref.NextTime());
+    ASSERT_EQ(q.NextTime(), ref.NextTime());
     ReferenceEventQueue::Fired rf = ref.PopNext();
-    EventQueue::Fired cf = cal.PopNext();
+    EventQueue::Fired cf = q.PopNext();
     ASSERT_EQ(cf.time, rf.time);
     rf.fn();
     cf.fn();
   }
-  EXPECT_TRUE(cal.empty());
-  EXPECT_EQ(cal_log, ref_log);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q_log, ref_log);
 }
 
 // Schedules a batch of `rounds` events, then drains both queues one pop
@@ -190,18 +191,18 @@ void RunLockstep(uint64_t seed, int rounds) {
 void RunInterferingDrain(uint64_t seed, int rounds) {
   SCOPED_TRACE(testing::Message() << "seed " << seed);
   Rng rng(seed);
-  EventQueue cal;
+  EventQueue q;
   ReferenceEventQueue ref;
   std::vector<Mirrored> events;
-  std::vector<size_t> cal_log;
+  std::vector<size_t> q_log;
   std::vector<size_t> ref_log;
 
   auto schedule = [&](SimTime when, int priority) {
     const size_t index = events.size();
     Mirrored m;
-    m.cal_handle =
-        cal.Schedule(when, [&cal_log, index] { cal_log.push_back(index); },
-                     priority);
+    m.q_handle =
+        q.Schedule(when, [&q_log, index] { q_log.push_back(index); },
+                   priority);
     m.ref_handle =
         ref.Schedule(when, [&ref_log, index] { ref_log.push_back(index); },
                      priority);
@@ -214,21 +215,21 @@ void RunInterferingDrain(uint64_t seed, int rounds) {
   }
 
   while (!ref.empty()) {
-    ASSERT_FALSE(cal.empty());
+    ASSERT_FALSE(q.empty());
     ReferenceEventQueue::Fired rf = ref.PopNext();
-    EventQueue::Fired cf = cal.PopNext();
+    EventQueue::Fired cf = q.PopNext();
     ASSERT_EQ(cf.time, rf.time);
     rf.fn();
     cf.fn();
-    ASSERT_EQ(cal_log, ref_log);
-    ASSERT_EQ(cal.size(), ref.size());
+    ASSERT_EQ(q_log, ref_log);
+    ASSERT_EQ(q.size(), ref.size());
 
     const double interfere = rng.NextDouble();
     if (interfere < 0.15 && !events.empty()) {
       // Cancel a random event — possibly the next one at this key; it
       // must not fire from either queue.
       Mirrored& m = events[rng.NextBounded(events.size())];
-      ASSERT_EQ(cal.Cancel(m.cal_handle), ref.Cancel(m.ref_handle));
+      ASSERT_EQ(q.Cancel(m.q_handle), ref.Cancel(m.ref_handle));
     } else if (interfere < 0.3) {
       // Schedule relative to the key just fired: before it (the new
       // event becomes the front), tying with it (fires at this key,
@@ -247,10 +248,10 @@ void RunInterferingDrain(uint64_t seed, int rounds) {
       }
       schedule(SimTime::Micros(when), priority);
     }
-    ASSERT_EQ(cal.NextTime(), ref.NextTime());
+    ASSERT_EQ(q.NextTime(), ref.NextTime());
   }
-  EXPECT_TRUE(cal.empty());
-  EXPECT_EQ(cal_log, ref_log);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q_log, ref_log);
 }
 
 TEST(EventQueueEquivalenceTest, LockstepMatchesReferenceAcrossSeeds) {
@@ -268,14 +269,14 @@ TEST(EventQueueEquivalenceTest, BatchedDrainMatchesReferenceAcrossSeeds) {
 }
 
 TEST(EventQueueEquivalenceTest, CancelAfterFireAgreesWithReference) {
-  EventQueue cal;
+  EventQueue q;
   ReferenceEventQueue ref;
-  EventHandle ch = cal.Schedule(SimTime::Micros(5), [] {});
+  EventHandle ch = q.Schedule(SimTime::Micros(5), [] {});
   uint64_t rh = ref.Schedule(SimTime::Micros(5), [] {});
-  cal.PopNext();
+  q.PopNext();
   ref.PopNext();
-  EXPECT_EQ(cal.Cancel(ch), ref.Cancel(rh));
-  EXPECT_FALSE(cal.Cancel(ch));
+  EXPECT_EQ(q.Cancel(ch), ref.Cancel(rh));
+  EXPECT_FALSE(q.Cancel(ch));
 }
 
 }  // namespace

@@ -72,8 +72,7 @@ TEST(EventQueueStressTest, RandomScheduleCancelPop) {
   }
 }
 
-// Every event on one instant: the whole queue is a single calendar
-// bucket / a single batch.  Insertion order must be preserved exactly,
+// Every event on one instant: only the sequence number orders them.  Insertion order must be preserved exactly,
 // interleaved cancels included.
 TEST(EventQueueStressTest, SingleIntervalCohort) {
   Rng rng(7);
@@ -100,20 +99,24 @@ TEST(EventQueueStressTest, SingleIntervalCohort) {
   EXPECT_EQ(fired, expected);
 }
 
-// One event per calendar day, spaced exactly one day apart across many
-// ring years: every pop lands on a different bucket and the drain
-// crosses several ring rebases.
+// Spacing of the evenly spaced stress patterns below: 8192 us "days",
+// 256 per "year".
+constexpr int64_t kDayMicros = 8192;
+constexpr int kDaysPerYear = 256;
+
+// One event per day, scheduled in reverse order across several years:
+// every push sifts to the top and every pop drains in ascending order.
 TEST(EventQueueStressTest, OneEventPerCalendarDay) {
   EventQueue q;
-  const int kDays = 4 * EventQueue::kNumDays + 17;
+  const int kDays = 4 * kDaysPerYear + 17;
   std::vector<int> fired;
   for (int i = kDays - 1; i >= 0; --i) {
-    q.Schedule(SimTime::Micros(i * EventQueue::kDayMicros),
+    q.Schedule(SimTime::Micros(i * kDayMicros),
                [&fired, i] { fired.push_back(i); });
   }
   int64_t expect = 0;
   while (!q.empty()) {
-    EXPECT_EQ(q.NextTime(), SimTime::Micros(expect * EventQueue::kDayMicros));
+    EXPECT_EQ(q.NextTime(), SimTime::Micros(expect * kDayMicros));
     auto f = q.PopNext();
     f.fn();
     ++expect;
@@ -122,13 +125,12 @@ TEST(EventQueueStressTest, OneEventPerCalendarDay) {
   for (int i = 0; i < kDays; ++i) EXPECT_EQ(fired[static_cast<size_t>(i)], i);
 }
 
-// Monotonically increasing far-future times: each schedule lands in the
-// overflow map far beyond the ring, and each pop forces the ring to
-// rebase onto a new year.  Alternating schedule/pop keeps the queue
-// nearly empty, the worst case for rebase frequency.
+// Monotonically increasing far-future times, years apart, with
+// alternating schedule/pop keeping the queue nearly empty: every
+// schedule lands behind the whole pending set.
 TEST(EventQueueStressTest, MonotoneFarFutureOverflow) {
   EventQueue q;
-  const int64_t year = EventQueue::kDayMicros * EventQueue::kNumDays;
+  const int64_t year = kDayMicros * kDaysPerYear;
   int64_t t = 0;
   int fired = 0;
   for (int i = 0; i < 2000; ++i) {

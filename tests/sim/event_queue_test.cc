@@ -110,7 +110,7 @@ TEST(EventQueueTest, ManyEventsStressOrdering) {
 TEST(EventQueueTest, ScheduleAndCancelChurnKeepsMemoryBounded) {
   EventQueue q;
   // One million schedule/cancel pairs against a small live set.  With
-  // eager slot reclamation and bucket compaction, neither the buffered
+  // eager slot reclamation and heap compaction, neither the buffered
   // entries nor the slot table may grow with the churn count.
   std::vector<EventHandle> live;
   for (int i = 0; i < 64; ++i) {

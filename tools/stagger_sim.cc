@@ -4,8 +4,11 @@
 //   $ stagger_sim --scheme=vdr --stations=256 --mean=43.5 --csv
 //   $ stagger_sim --help
 //
-// Every knob of ExperimentConfig is exposed; defaults reproduce the
-// paper's Table 3 system.
+// Flags cover the closed-loop Table 3 experiment, its storage options
+// and a seeded chaos plan; defaults reproduce the paper's Table 3
+// system.  Open arrivals, stream batching, Zipf popularity, VCR scans
+// and pauses, and think time have no flags: set them on ExperimentConfig
+// in code.
 
 #include <charconv>
 #include <cstdio>
@@ -49,7 +52,8 @@ Usage: stagger_sim [flags]
   --spares=N          hot-spare drives (enables rebuild with --parity)
   --scrub             run the background latent-error scrubber
   --degraded=NAME     none | pause | remap | reconstruct  [remap]
-  --chaos-seed=N      generate a chaos fault plan (prints it for replay)
+  --chaos-seed=N      generate a chaos fault plan (printed to stderr;
+                      the same flags generate the same plan)
   --chaos-mtbf-hours=X   per-disk failure MTBF           [200]
   --chaos-mttr-hours=X   mean repair/outage duration     [0.5]
   --chaos-domains=N   correlated failure domains        [0]
@@ -248,9 +252,9 @@ int Run(int argc, char** argv) {
                    chaos_mtbf_hours, latents, kMaxChaosEvents);
       return 2;
     }
-    // Seeded chaos plan over the whole run; the serialized form is
-    // printed so any run can be replayed exactly by pasting the plan
-    // back through FaultPlan::Parse.
+    // Seeded chaos plan over the whole run.  Rerunning with the same
+    // flags draws the same plan; the printed text also replays through
+    // FaultPlan::Parse in code (no flag reads a plan).
     ChaosParams cp;
     cp.horizon = cfg.warmup + cfg.measure;
     cp.mtbf = SimTime::Hours(chaos_mtbf_hours);
