@@ -176,6 +176,41 @@ void BM_SchedulerAdmissionChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerAdmissionChurn)->Arg(100);
 
+// A hot-object crowd: `backlog` pending requests share one admission
+// key (start disk, degree, parity) behind a window that a whole-array
+// display keeps full, so no request is admitted.  Measures the
+// admission pass's cost per interval against the backlog depth.
+void BM_SchedulerHotKeyBacklog(benchmark::State& state) {
+  const int32_t backlog = static_cast<int32_t>(state.range(0));
+  for (auto _ : state) {
+    state.PauseTiming();
+    Simulator sim;
+    auto disks = DiskArray::Create(100, DiskParameters::Evaluation());
+    SchedulerConfig config;
+    config.stride = 5;
+    config.interval = SimTime::Millis(605);
+    auto sched = IntervalScheduler::Create(&sim, &*disks, config);
+    DisplayRequest blocker;
+    blocker.degree = 100;
+    blocker.num_subobjects = 1 << 20;
+    blocker.on_completed = [] {};
+    (void)(*sched)->Submit(std::move(blocker));
+    for (int32_t i = 0; i < backlog; ++i) {
+      DisplayRequest req;
+      req.object = 1;
+      req.degree = 5;
+      req.num_subobjects = 64;
+      req.on_completed = [] {};
+      (void)(*sched)->Submit(std::move(req));
+    }
+    state.ResumeTiming();
+    sim.RunUntil(SimTime::Millis(605) * 256);
+  }
+  state.SetItemsProcessed(state.iterations() * 256);
+  state.SetLabel("intervals; backlog=" + std::to_string(backlog));
+}
+BENCHMARK(BM_SchedulerHotKeyBacklog)->Arg(2000);
+
 }  // namespace
 }  // namespace stagger
 

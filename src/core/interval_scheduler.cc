@@ -50,10 +50,70 @@ Result<RequestId> IntervalScheduler::Submit(DisplayRequest request) {
     return Status::InvalidArgument("start disk out of range");
   }
   const RequestId id = next_request_id_++;
-  queue_.push_back(Pending{id, std::move(request), sim_->Now()});
+  const int32_t b = BucketFor(request);
+  Bucket& bucket = buckets_[static_cast<size_t>(b)];
+  if (bucket.empty()) live_buckets_.push_back(b);
+  bucket.members.push_back(Pending{id, std::move(request), sim_->Now()});
+  ++pending_count_;
   request_to_stream_[id] = kNoStream;
   ++metrics_.displays_requested;
   return id;
+}
+
+int32_t IntervalScheduler::BucketFor(const DisplayRequest& req) {
+  // degree <= D < 2^31, so degree << 1 | parity fits the low 32 bits.
+  const uint64_t key = static_cast<uint64_t>(req.start_disk) << 32 |
+                       static_cast<uint64_t>(req.degree) << 1 |
+                       static_cast<uint64_t>(req.parity);
+  const auto [it, created] = bucket_of_key_.try_emplace(
+      key, static_cast<int32_t>(buckets_.size()));
+  if (created) {
+    buckets_.emplace_back();
+    // The pass's scratch holds at most one entry per bucket; growing it
+    // with buckets_ keeps the pass allocation-free.
+    const size_t capacity = buckets_.capacity();
+    live_buckets_.reserve(capacity);
+    scratch_heads_.reserve(capacity);
+    scratch_parked_.reserve(capacity);
+    scratch_touched_.reserve(capacity);
+  }
+  return it->second;
+}
+
+bool IntervalScheduler::ErasePending(RequestId id) {
+  for (size_t i = 0; i < live_buckets_.size(); ++i) {
+    Bucket& bucket = buckets_[static_cast<size_t>(live_buckets_[i])];
+    std::vector<Pending>& members = bucket.members;
+    const auto first =
+        members.begin() + static_cast<std::ptrdiff_t>(bucket.head);
+    const auto it = std::lower_bound(
+        first, members.end(), id,
+        [](const Pending& m, RequestId v) { return m.id < v; });
+    if (it == members.end() || it->id != id) continue;
+    const bool was_head = it == first;
+    members.erase(it);
+    --pending_count_;
+    if (bucket.empty()) {
+      members.clear();
+      bucket.head = 0;
+      live_buckets_.erase(live_buckets_.begin() +
+                          static_cast<std::ptrdiff_t>(i));
+    } else if (was_head) {
+      SortLiveBuckets();
+    }
+    return true;
+  }
+  return false;
+}
+
+void IntervalScheduler::SortLiveBuckets() {
+  const auto by_head = [this](int32_t a, int32_t b) {
+    return HeadId(a) < HeadId(b);
+  };
+  if (std::is_sorted(live_buckets_.begin(), live_buckets_.end(), by_head)) {
+    return;
+  }
+  std::sort(live_buckets_.begin(), live_buckets_.end(), by_head);
 }
 
 Status IntervalScheduler::Cancel(RequestId id) {
@@ -62,15 +122,7 @@ Status IntervalScheduler::Cancel(RequestId id) {
     return Status::NotFound("unknown request " + std::to_string(id));
   }
   if (it->second == kNoStream) {
-    bool dequeued = false;
-    for (auto qit = queue_.begin(); qit != queue_.end(); ++qit) {
-      if (qit->id == id) {
-        queue_.erase(qit);
-        dequeued = true;
-        break;
-      }
-    }
-    if (!dequeued) {
+    if (!ErasePending(id)) {
       // A handle mapped to kNoStream but absent from the queue is a
       // stream parked by the degraded policy.
       for (auto pit = paused_.begin(); pit != paused_.end(); ++pit) {
@@ -176,6 +228,11 @@ STAGGER_HOT_PATH void IntervalScheduler::Tick(int64_t tick_index) {
   claim_stamp_ = tick_index + 1;
   RetryPaused();
   TryAdmissions();
+#ifdef STAGGER_AUDIT
+  // Checked before AdvanceStreams releases lanes: the pass must have
+  // left no pending request that could start this interval.
+  STAGGER_CHECK_OK(InvariantAuditor::AuditAdmissionPass(*this));
+#endif
   AdvanceStreams();
   UpdateIntervalStats();
 #ifdef STAGGER_AUDIT
@@ -195,18 +252,108 @@ STAGGER_HOT_PATH void IntervalScheduler::Tick(int64_t tick_index) {
 }
 
 STAGGER_HOT_PATH void IntervalScheduler::TryAdmissions() {
-  // Scan FIFO with backfill: requests behind a blocked head may be
-  // admitted (the paper's Figure 3 idle slots serving a new request).
-  for (auto it = queue_.begin(); it != queue_.end();) {
-    if (TryAdmit(*it)) {
-      it = queue_.erase(it);
-    } else {
-      ++it;
+  // FIFO with backfill: requests behind a blocked head may be admitted
+  // (the paper's Figure 3 idle slots serving a new request).  The pass
+  // gives the same admissions as trying every pending request in id
+  // order, but visits bucket heads only.  An attempt reads its
+  // request's key and state that changes only at an admission
+  // (occupancy, buffer reservations, this tick's disk health), so once
+  // a bucket's head fails every later member fails too until the next
+  // admission: the bucket is parked, and each admission re-queues every
+  // parked bucket at its first member past the admitted id.
+  // Unvisited buckets wait in live_buckets_, in ascending head id;
+  // buckets re-queued past their head wait in a min-heap on id.  The
+  // next head to try is the smaller of the two fronts.
+  const auto later = [](const BucketHead& a, const BucketHead& b) {
+    return a.id > b.id;
+  };
+  const auto enqueue = [&](int32_t b, size_t pos) {
+    const RequestId id = buckets_[static_cast<size_t>(b)].members[pos].id;
+    // stagger-lint: allow(hot-path-alloc) -- BucketFor reserves one entry per bucket and a bucket has at most one cursor, so this never grows
+    scratch_heads_.push_back(BucketHead{id, b, pos});
+    std::push_heap(scratch_heads_.begin(), scratch_heads_.end(), later);
+  };
+  size_t next_live = 0;
+  for (;;) {
+    BucketHead head{};
+    const bool live_left = next_live < live_buckets_.size();
+    if (live_left) {
+      const int32_t b = live_buckets_[next_live];
+      head = BucketHead{HeadId(b), b, buckets_[static_cast<size_t>(b)].head};
     }
+    if (!scratch_heads_.empty() &&
+        (!live_left || scratch_heads_.front().id < head.id)) {
+      std::pop_heap(scratch_heads_.begin(), scratch_heads_.end(), later);
+      head = scratch_heads_.back();
+      scratch_heads_.pop_back();
+    } else if (live_left) {
+      ++next_live;
+    } else {
+      break;
+    }
+    Bucket& bucket = buckets_[static_cast<size_t>(head.bucket)];
+    ++metrics_.admission_attempts;
+    if (!TryAdmit(bucket.members[head.pos])) {
+      // stagger-lint: allow(hot-path-alloc) -- BucketFor reserves one entry per bucket and a bucket is parked at most once at a time, so this never grows
+      scratch_parked_.push_back(head);
+      continue;
+    }
+    bucket.members[head.pos].id = kNoStream;
+    --pending_count_;
+    if (bucket.last_admitted == kNoneAdmitted) {
+      // stagger-lint: allow(hot-path-alloc) -- BucketFor reserves one entry per bucket and last_admitted lists each bucket once per pass, so this never grows
+      scratch_touched_.push_back(head.bucket);
+    }
+    bucket.last_admitted = head.pos;
+    if (head.pos + 1 < bucket.members.size()) {
+      enqueue(head.bucket, head.pos + 1);
+    }
+    for (const BucketHead& parked : scratch_parked_) {
+      const std::vector<Pending>& members =
+          buckets_[static_cast<size_t>(parked.bucket)].members;
+      const auto next = std::upper_bound(
+          members.begin() + static_cast<std::ptrdiff_t>(parked.pos) + 1,
+          members.end(), head.id,
+          [](RequestId v, const Pending& m) { return v < m.id; });
+      if (next != members.end()) {
+        enqueue(parked.bucket, static_cast<size_t>(next - members.begin()));
+      }
+    }
+    scratch_parked_.clear();
   }
+  scratch_parked_.clear();
+  if (scratch_touched_.empty()) return;
+
+  // Admitted members are tombstoned.  A dead run at the head only
+  // moves `head`; a tombstone behind a waiting member (a parked bucket
+  // admitted after a re-queue) takes a stable compaction.
+  const auto dead = [](const Pending& m) { return m.id == kNoStream; };
+  for (int32_t b : scratch_touched_) {
+    Bucket& bucket = buckets_[static_cast<size_t>(b)];
+    std::vector<Pending>& members = bucket.members;
+    while (!bucket.empty() && dead(members[bucket.head])) ++bucket.head;
+    const auto first =
+        members.begin() + static_cast<std::ptrdiff_t>(bucket.head);
+    if (bucket.last_admitted >= bucket.head) {
+      members.erase(std::remove_if(first, members.end(), dead), members.end());
+    }
+    if (2 * bucket.head >= members.size()) {
+      members.erase(members.begin(), first);
+      bucket.head = 0;
+    }
+    bucket.last_admitted = kNoneAdmitted;
+  }
+  scratch_touched_.clear();
+  live_buckets_.erase(
+      std::remove_if(live_buckets_.begin(), live_buckets_.end(),
+                     [this](int32_t b) {
+                       return buckets_[static_cast<size_t>(b)].empty();
+                     }),
+      live_buckets_.end());
+  SortLiveBuckets();
 }
 
-STAGGER_HOT_PATH bool IntervalScheduler::TryAdmit(const Pending& p) {
+STAGGER_HOT_PATH bool IntervalScheduler::TryAdmit(Pending& p) {
   if (TryAdmitContiguous(p)) return true;
   if (config_.policy == AdmissionPolicy::kFragmented &&
       TryAdmitFragmented(p)) {
@@ -215,7 +362,8 @@ STAGGER_HOT_PATH bool IntervalScheduler::TryAdmit(const Pending& p) {
   return false;
 }
 
-STAGGER_HOT_PATH bool IntervalScheduler::TryAdmitContiguous(const Pending& p) {
+STAGGER_HOT_PATH bool IntervalScheduler::ContiguousAdmissible(
+    const Pending& p) const {
   // The request starts only when the virtual disks *currently over* its
   // first fragments are all idle (alignment delay zero): one modular
   // window test over the occupancy bitmap.
@@ -244,6 +392,13 @@ STAGGER_HOT_PATH bool IntervalScheduler::TryAdmitContiguous(const Pending& p) {
       if (!reconstructable) return false;
     }
   }
+  return true;
+}
+
+STAGGER_HOT_PATH bool IntervalScheduler::TryAdmitContiguous(Pending& p) {
+  if (!ContiguousAdmissible(p)) return false;
+  const int32_t v0 = frame_.VirtualOf(p.req.start_disk, interval_index_);
+  const int32_t m = p.req.degree;
   LaneArray lanes;
   lanes.Assign(m);
   for (int32_t j = 0; j < m; ++j) {
@@ -256,7 +411,7 @@ STAGGER_HOT_PATH bool IntervalScheduler::TryAdmitContiguous(const Pending& p) {
   return true;
 }
 
-STAGGER_HOT_PATH bool IntervalScheduler::TryAdmitFragmented(const Pending& p) {
+STAGGER_HOT_PATH bool IntervalScheduler::TryAdmitFragmented(Pending& p) {
   const int32_t m = p.req.degree;
   const int32_t d = frame_.num_disks();
   const bool check_health = config_.degraded_policy != DegradedPolicy::kNone &&
@@ -307,7 +462,7 @@ STAGGER_HOT_PATH bool IntervalScheduler::TryAdmitFragmented(const Pending& p) {
   return true;
 }
 
-void IntervalScheduler::AdmitStream(const Pending& p, LaneArray lanes,
+void IntervalScheduler::AdmitStream(Pending& p, LaneArray lanes,
                                     int64_t delta_max, bool fragmented,
                                     bool lockstep, int64_t buffer_frags) {
   const int32_t slot = AllocSlot();
@@ -327,9 +482,9 @@ void IntervalScheduler::AdmitStream(const Pending& p, LaneArray lanes,
   s.parity = p.req.parity;
   s.buffer_reserved = buffer_frags;
   s.resumed_mid_display = p.started;
-  s.on_completed = p.req.on_completed;
-  s.on_started = p.req.on_started;
-  s.on_interrupted = p.req.on_interrupted;
+  s.on_completed = std::move(p.req.on_completed);
+  s.on_started = std::move(p.req.on_started);
+  s.on_interrupted = std::move(p.req.on_interrupted);
 
   for (const FragmentLane& lane : s.lanes) {
     STAGGER_DCHECK(vdisk_owner_[static_cast<size_t>(lane.vdisk)] == kNoStream);
@@ -806,7 +961,7 @@ void IntervalScheduler::FinishStream(StreamId id, bool completed) {
 
 void IntervalScheduler::UpdateIntervalStats() {
   const SimTime now = sim_->Now();
-  metrics_.queue_length.Set(now, static_cast<double>(queue_.size()));
+  metrics_.queue_length.Set(now, static_cast<double>(pending_count_));
   metrics_.buffered_fragments.Set(now,
                                   static_cast<double>(buffered_fragments_));
   metrics_.peak_buffered_fragments =

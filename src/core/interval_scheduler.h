@@ -87,6 +87,11 @@ struct SchedulerMetrics {
   int64_t displays_cancelled = 0;
   int64_t fragmented_admissions = 0;
   int64_t coalesce_migrations = 0;
+  /// TryAdmit calls made by the admission pass (paused-stream retries
+  /// excluded): the pass's deterministic cost.  A tick with no
+  /// admission costs one attempt per non-empty key bucket; each
+  /// admission adds at most one per bucket it re-queues.
+  int64_t admission_attempts = 0;
   /// Output intervals where a lane had not yet read the due fragment.
   /// Zero by construction; a non-zero value indicates a scheduler bug.
   int64_t hiccups = 0;
@@ -197,7 +202,7 @@ class IntervalScheduler {
   const VirtualDiskFrame& frame() const { return frame_; }
   const SchedulerConfig& config() const { return config_; }
   int64_t current_interval() const { return interval_index_; }
-  size_t pending_requests() const { return queue_.size(); }
+  size_t pending_requests() const { return pending_count_; }
   size_t active_streams() const { return active_.size(); }
   /// Streams parked by the degraded-mode policy, awaiting re-admission.
   size_t paused_streams() const { return paused_.size(); }
@@ -232,6 +237,31 @@ class IntervalScheduler {
     bool started = false;
   };
 
+  static constexpr size_t kNoneAdmitted = ~size_t{0};
+  /// Pending requests sharing one admission key (start disk, degree,
+  /// parity), in ascending id (FIFO) order.  The key is all an attempt
+  /// reads from a request, so against the same scheduler state every
+  /// member of a bucket is admissible or none is.
+  struct Bucket {
+    /// members[head, size) wait.  The prefix before `head` holds admitted
+    /// members, dropped once it reaches half the vector, so admitting
+    /// a head costs amortized O(1) moves.
+    std::vector<Pending> members;
+    size_t head = 0;
+    /// Position of the last member admitted by the running pass, or
+    /// kNoneAdmitted.  Admitted members are tombstoned (id kNoStream)
+    /// until the end of the pass.
+    size_t last_admitted = kNoneAdmitted;
+    bool empty() const { return head == members.size(); }
+  };
+  /// A bucket's cursor in the admission pass: members[pos], whose id
+  /// orders the pass's min-heap.
+  struct BucketHead {
+    RequestId id;
+    int32_t bucket;
+    size_t pos;
+  };
+
   /// A stream parked by the degraded-mode policy: its lanes are torn
   /// down and the undelivered remainder waits for re-admission.
   struct PausedStream {
@@ -252,13 +282,31 @@ class IntervalScheduler {
 
   void Tick(int64_t tick_index);
   void TryAdmissions();
-  /// Attempts to admit `p` at the current interval; true on success.
-  bool TryAdmit(const Pending& p);
-  bool TryAdmitContiguous(const Pending& p);
-  bool TryAdmitFragmented(const Pending& p);
+  /// Index into buckets_ of `req`'s key, creating the bucket (and
+  /// sizing the pass's scratch for it) on first use.
+  int32_t BucketFor(const DisplayRequest& req);
+  /// Removes pending request `id` from its bucket; false when no bucket
+  /// holds it.
+  bool ErasePending(RequestId id);
+  /// Id of the first member of non-empty bucket `b`.
+  RequestId HeadId(int32_t b) const {
+    const Bucket& bucket = buckets_[static_cast<size_t>(b)];
+    return bucket.members[bucket.head].id;
+  }
+  /// Restores live_buckets_'s order: ascending id of each bucket's head.
+  void SortLiveBuckets();
+  /// Attempts to admit `p` at the current interval; true on success,
+  /// with `p`'s callbacks moved into the new stream.
+  bool TryAdmit(Pending& p);
+  /// Side-effect-free contiguous admission test: the window over `p`'s
+  /// first disks is idle and its first reads can be served despite any
+  /// unavailable disk.
+  bool ContiguousAdmissible(const Pending& p) const;
+  bool TryAdmitContiguous(Pending& p);
+  bool TryAdmitFragmented(Pending& p);
   /// `lockstep` marks a contiguous admission: adjacent lanes advancing
   /// in unison, eligible for the tick's range-reserve fast path.
-  void AdmitStream(const Pending& p, LaneArray lanes, int64_t delta_max,
+  void AdmitStream(Pending& p, LaneArray lanes, int64_t delta_max,
                    bool fragmented, bool lockstep, int64_t buffer_frags);
   void AdvanceStreams();
   void TryCoalesce(Stream* s);
@@ -321,7 +369,15 @@ class IntervalScheduler {
   std::vector<Stream> slots_;
   std::vector<int32_t> free_slots_;
   std::vector<std::pair<StreamId, int32_t>> active_;
-  std::deque<Pending> queue_;
+  /// Pending requests, bucketed by admission key.  Buckets are never
+  /// deleted; live_buckets_ lists the non-empty ones, the only ones an
+  /// admission pass visits, in ascending id of their heads (a bucket
+  /// that turns live in Submit holds the newest id, so appending keeps
+  /// the order).
+  std::vector<Bucket> buckets_;
+  std::unordered_map<uint64_t, int32_t> bucket_of_key_;
+  std::vector<int32_t> live_buckets_;
+  size_t pending_count_ = 0;
   std::deque<PausedStream> paused_;
   RequestId next_request_id_ = 1;
   /// Maps live request handles to their stream (or kNoStream if queued).
@@ -344,6 +400,12 @@ class IntervalScheduler {
   /// disk is actually down.
   std::vector<int64_t> claimed_epoch_;
   int64_t claim_stamp_ = 0;
+  /// Admission-pass scratch, each holding at most one entry per bucket:
+  /// the min-heap of bucket heads, the buckets whose head failed since
+  /// the last admission, and the buckets that admitted this pass.
+  std::vector<BucketHead> scratch_heads_;
+  std::vector<BucketHead> scratch_parked_;
+  std::vector<int32_t> scratch_touched_;
   std::vector<StreamId> scratch_finished_;
   std::vector<StreamId> scratch_to_pause_;
 

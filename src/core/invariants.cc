@@ -465,9 +465,12 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
   // No double-scheduling: each live request handle is in exactly one of
   // the pending queue, the paused set, or the active stream table.
   std::set<RequestId> scheduled;
-  for (const auto& pending : s.queue_) {
-    STAGGER_AUDIT_VERIFY(scheduled.insert(pending.id).second)
-        << "; request " << pending.id << " queued twice";
+  for (const auto& bucket : s.buckets_) {
+    for (size_t i = bucket.head; i < bucket.members.size(); ++i) {
+      const RequestId id = bucket.members[i].id;
+      STAGGER_AUDIT_VERIFY(scheduled.insert(id).second)
+          << "; request " << id << " queued twice";
+    }
   }
   for (const auto& paused : s.paused_) {
     STAGGER_AUDIT_VERIFY(scheduled.insert(paused.id).second)
@@ -487,6 +490,65 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
   for (const auto& [id, slot] : s.active_) {
     STAGGER_AUDIT_VERIFY(scheduled.insert(id).second)
         << "; active stream " << id << " is also queued or paused";
+  }
+  return Status::OK();
+}
+
+Status InvariantAuditor::AuditAdmissionPass(const IntervalScheduler& s) {
+  size_t pending = 0;
+  size_t live = 0;
+  for (size_t b = 0; b < s.buckets_.size(); ++b) {
+    const auto& bucket = s.buckets_[b];
+    STAGGER_AUDIT_VERIFY(bucket.last_admitted ==
+                         IntervalScheduler::kNoneAdmitted)
+        << "; bucket " << b << " kept admitted members past the pass";
+    STAGGER_AUDIT_VERIFY(bucket.head == 0 ||
+                         2 * bucket.head < bucket.members.size())
+        << "; bucket " << b << " keeps a dead prefix of " << bucket.head
+        << " of " << bucket.members.size() << " entries";
+    for (size_t i = 0; i < bucket.head; ++i) {
+      STAGGER_AUDIT_VERIFY(bucket.members[i].id == kNoStream)
+          << "; bucket " << b << " holds request " << bucket.members[i].id
+          << " before its head";
+    }
+    RequestId prev = kNoStream;
+    for (size_t i = bucket.head; i < bucket.members.size(); ++i) {
+      const auto& p = bucket.members[i];
+      STAGGER_AUDIT_VERIFY(p.id > prev)
+          << "; bucket " << b << " holds request " << p.id << " after "
+          << prev << " (not FIFO)";
+      prev = p.id;
+      const auto& first = bucket.members[bucket.head].req;
+      STAGGER_AUDIT_VERIFY(p.req.start_disk == first.start_disk &&
+                           p.req.degree == first.degree &&
+                           p.req.parity == first.parity)
+          << "; request " << p.id << " shares bucket " << b
+          << " with a request of another key";
+      STAGGER_AUDIT_VERIFY(!s.ContiguousAdmissible(p))
+          << "; pending request " << p.id << " (start disk "
+          << p.req.start_disk << ", degree " << p.req.degree
+          << ") could start contiguously at interval " << s.interval_index_
+          << " but the admission pass left it queued";
+    }
+    pending += bucket.members.size() - bucket.head;
+    if (!bucket.empty()) ++live;
+  }
+  STAGGER_AUDIT_VERIFY(pending == s.pending_count_)
+      << "; buckets hold " << pending << " requests but the pending count is "
+      << s.pending_count_;
+  // The live list holds each non-empty bucket exactly once, in strictly
+  // ascending head id (so no bucket twice), as many as are non-empty.
+  STAGGER_AUDIT_VERIFY(live == s.live_buckets_.size())
+      << "; " << live << " buckets are non-empty but "
+      << s.live_buckets_.size() << " are listed live";
+  RequestId prev_head = kNoStream;
+  for (int32_t b : s.live_buckets_) {
+    STAGGER_AUDIT_VERIFY(!s.buckets_[static_cast<size_t>(b)].empty())
+        << "; bucket " << b << " is listed live but empty";
+    STAGGER_AUDIT_VERIFY(s.HeadId(b) > prev_head)
+        << "; live bucket " << b << " (head " << s.HeadId(b)
+        << ") is listed after head " << prev_head;
+    prev_head = s.HeadId(b);
   }
   return Status::OK();
 }

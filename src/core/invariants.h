@@ -132,6 +132,11 @@ class InvariantAuditor {
   /// delivery progress matches the interval arithmetic exactly, buffer
   /// accounting balances against the pool, and zero hiccups occurred.
   static Status AuditScheduler(const IntervalScheduler& scheduler);
+  /// Run right after an admission pass, before lanes are released: no
+  /// pending request is still contiguously admissible (FIFO with
+  /// backfill skipped nothing it could have started), and every request
+  /// sits in the bucket of its own key, in FIFO order.
+  static Status AuditAdmissionPass(const IntervalScheduler& scheduler);
 
   /// Walks the logical-disk scheduler: per-virtual-disk unit usage is
   /// within [0, L] and equals the sum over active streams of the units

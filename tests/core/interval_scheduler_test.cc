@@ -168,6 +168,122 @@ TEST_F(SchedulerTest, BackfillServesLaterRequests) {
   EXPECT_TRUE(later.completed);
 }
 
+// A deep single-key backlog behind a full window costs one admission
+// attempt per tick, not one per request, and a later request with a
+// different key still starts in the first interval its window is free.
+TEST_F(SchedulerTest, BlockedKeySkipsOnlyItsKey) {
+  Init(10, 1);
+  Probe blocker;
+  Request(0, 0, 6, 200, &blocker);  // virtual disks 0..5, intervals 0..199
+  std::vector<Probe> backlog(500);
+  for (Probe& p : backlog) Request(1, 5, 6, 10, &p);  // 6 lanes, 4 free disks
+  Probe later;
+  Request(2, 0, 4, 10, &later);
+  // Disk 0 sits over virtual disk (0 - t) mod 10, so the later request's
+  // window is the free virtual disks 6..9 first at t = 4.
+  sim_.RunUntil(kInterval * 20);
+  EXPECT_TRUE(later.started);
+  EXPECT_EQ(later.latency, kInterval * 4);
+  EXPECT_EQ(sched_->pending_requests(), 500u);
+  for (const Probe& p : backlog) ASSERT_FALSE(p.started);
+  // Tick 0: the blocker is admitted, the backlog head and the later
+  // request fail (3).  Ticks 1-3: two live keys (2 each).  Tick 4: the
+  // backlog head fails, the later request starts (2).  Ticks 5-20: the
+  // backlog head alone (1 each).  A full FIFO scan would try all 500.
+  EXPECT_EQ(sched_->metrics().admission_attempts, 3 + 3 * 2 + 2 + 16);
+}
+
+// Admission follows arrival across keys: key B's bucket is listed
+// before key A's, but A's earlier request takes the overlapping window.
+TEST_F(SchedulerTest, FifoAcrossOverlappingKeys) {
+  Init(10, 1);
+  Probe blocker, cancelled, early, late;
+  Request(0, 0, 10, 5, &blocker);  // whole array, intervals 0..4
+  const RequestId first = Request(1, 2, 6, 10, &cancelled);  // key B
+  Request(2, 0, 6, 10, &early);                              // key A
+  Request(3, 2, 6, 10, &late);                               // key B
+  ASSERT_TRUE(sched_->Cancel(first).ok());
+  sim_.RunUntil(kInterval * 8);
+  EXPECT_TRUE(early.started);
+  EXPECT_EQ(early.latency, kInterval * 5);
+  // The two 6-disk windows overlap on 10 disks: `late` waits for `early`.
+  EXPECT_FALSE(late.started);
+  sim_.RunUntil(SimTime::Minutes(1));
+  EXPECT_TRUE(early.completed && late.completed);
+  EXPECT_FALSE(cancelled.started);
+}
+
+// Under Algorithm 1 with a bounded buffer, admission is not monotone in
+// occupancy: a request that failed can fit once another admission has
+// taken disks.  A parked key is retried after another key's admission in
+// the same tick, at its first request past the admitted one.
+TEST_F(SchedulerTest, FragmentedParkedKeyRetriedAfterAdmission) {
+  // k = 2 on 8 disks: a degree-2 stream's lanes search disjoint residue
+  // classes.  Degree-1 blockers hold virtual disks 1 and 3.
+  Init(8, 2, AdmissionPolicy::kFragmented, false, /*buffer_cap=*/1);
+  Probe low, high;
+  Request(0, 1, 1, 100, &low);
+  Request(1, 3, 1, 100, &high);
+  sim_.RunUntil(SimTime::Zero());
+  const int64_t before = sched_->metrics().admission_attempts;
+  Probe first, narrow, second;
+  const RequestId first_id = Request(2, 4, 2, 10, &first);
+  Request(3, 4, 1, 10, &narrow);
+  Request(4, 4, 2, 10, &second);
+  sim_.RunUntil(kInterval);
+  // At t = 1, disk 4's lane aligns with virtual disks 2, 0, 6, ... and
+  // disk 5's with 3, 1, 7, ...  `first` gets delays 0 and 2, which needs
+  // 2 buffered fragments: refused.  `narrow` takes virtual disk 2, so
+  // `second` gets delays 1 and 2, needing 1: admitted.
+  EXPECT_EQ(sched_->metrics().admission_attempts - before, 3);
+  EXPECT_EQ(sched_->pending_requests(), 1u);
+  EXPECT_EQ(sched_->active_streams(), 4u);
+  EXPECT_EQ(sched_->metrics().fragmented_admissions, 1);
+  // Seek accepts only active streams: `first` is the one still queued.
+  EXPECT_TRUE(sched_->Seek(first_id, 4, 10).status().IsFailedPrecondition());
+  sim_.RunUntil(SimTime::Minutes(3));
+  EXPECT_TRUE(narrow.completed);
+  EXPECT_TRUE(first.completed && second.completed);
+  EXPECT_EQ(sched_->metrics().hiccups, 0);
+}
+
+TEST_F(SchedulerTest, CancelPendingInsideBucket) {
+  Init(10, 1);
+  Probe blocker, moving;
+  Request(0, 0, 6, 40, &blocker);  // virtual disks 0..5, intervals 0..39
+  const RequestId seeker = Request(1, 6, 4, 100, &moving);  // 6..9
+  std::vector<Probe> queued(5);
+  std::vector<RequestId> ids;
+  for (Probe& p : queued) ids.push_back(Request(2, 3, 5, 10, &p));
+  sim_.RunUntil(kInterval * 2);
+  EXPECT_EQ(sched_->pending_requests(), 5u);
+  // Head, middle and tail of the bucket.
+  for (RequestId id : {ids[0], ids[2], ids[4]}) {
+    ASSERT_TRUE(sched_->Cancel(id).ok());
+  }
+  EXPECT_EQ(sched_->pending_requests(), 2u);
+  EXPECT_TRUE(sched_->Cancel(ids[0]).IsNotFound());
+  sim_.RunUntil(kInterval * 3);
+  EXPECT_EQ(sched_->metrics().queue_length.current(), 2.0);
+  // Seek re-queues the stream under key (1, 4): disk 1 first sits over
+  // the freed virtual disk 6 at t = 5.
+  ASSERT_TRUE(sched_->Seek(seeker, 1, 50).ok());
+  EXPECT_EQ(sched_->pending_requests(), 3u);
+  sim_.RunUntil(kInterval * 4);
+  EXPECT_EQ(sched_->pending_requests(), 3u);
+  sim_.RunUntil(kInterval * 5);
+  EXPECT_EQ(sched_->pending_requests(), 2u);
+  EXPECT_EQ(sched_->active_streams(), 2u);
+  sim_.RunUntil(SimTime::Minutes(5));
+  EXPECT_TRUE(moving.completed);
+  EXPECT_TRUE(queued[1].completed && queued[3].completed);
+  EXPECT_LT(queued[1].latency, queued[3].latency);
+  EXPECT_FALSE(queued[0].started || queued[2].started || queued[4].started);
+  EXPECT_EQ(sched_->pending_requests(), 0u);
+  EXPECT_EQ(sched_->metrics().queue_length.current(), 0.0);
+  EXPECT_EQ(sched_->metrics().displays_cancelled, 3);
+}
+
 TEST_F(SchedulerTest, FragmentedAdmissionStartsEarlier) {
   // Degree-1 blockers on even disks: adjacency never available, but
   // Algorithm 1 assembles non-adjacent free disks.
